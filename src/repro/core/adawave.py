@@ -1,14 +1,18 @@
 """AdaWave: adaptive wavelet clustering (the paper's core contribution).
 
-Pipeline (paper Algorithm 1), expressed as DataFrame transformations:
+Pipeline (paper Algorithm 1). The N objects are read three times by
+Spark; everything in between works on the M ≪ N grid cells on the driver:
 
-1. quantize the feature space into a sparse grid  (`core.quantize`, Spark)
-2. low-pass DWT of the sparse grid                (`core.wavelet`, Spark)
+1. quantize the feature space into a sparse grid  (`core.quantize`, Spark:
+   one bounds + row-count aggregate, then one ``groupBy`` over the cells)
+2. low-pass DWT of the sparse grid                (`core.wavelet`: the grid
+   is collected once, the transform runs in numpy)
 3. drop near-zero coefficients, then adaptively threshold the sorted
    density curve ("elbow theory")                 (`core.threshold`)
 4. connected components over surviving cells      (`core.components`)
 5. lookup table: transformed cell -> label, original cell -> transformed
-   cell is ``c >> levels``; labels join back onto the objects  (Spark)
+   cell is ``c >> levels``; labels join back onto the objects through a
+   broadcast hash join                            (Spark)
 
 Defaults are auto-derived from the dimensionality (the paper's notion of
 "parameter-free": `scale=128` for the 2-D experiments; coarser grids and a
@@ -20,46 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.components import connected_components
-from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities
+from repro.core.quantize import GridSpec, assign_cells, auto_params, fit_grid, grid_densities
 from repro.core.threshold import angle_threshold, elbow_threshold
 from repro.core.wavelet import cell_cols, dwt_spark, get_wavelet
 
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
 _EPS_COEF = 1e-9  # "wavelet coefficients close to zero" cutoff (paper step 2)
-
-
-def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
-    """(scale, levels, wavelet) defaults by dimensionality and data size.
-
-    2-D uses the paper's default scale=128 with a one-level CDF(2,2)
-    transform — shrunk towards sqrt(n) when the dataset is small, so cell
-    densities stay statistically meaningful (with the paper's ~30k-point
-    benchmark this stays exactly 128). Higher dimensions use coarser grids
-    (cell count would otherwise exceed the point count) and Haar, whose
-    fanout of one keeps the sparse transform size bounded by the input.
-    """
-    if d <= 2:
-        scale = 128
-        if n is not None and n > 0:
-            # round *up*: a too-fine grid degrades gracefully (sparser
-            # cells), a too-coarse one merges adjacent clusters outright
-            scale = int(min(128, max(16, 2 ** int(np.ceil(np.log2(max(4.0, np.sqrt(n))))))))
-        return scale, 1, "cdf2.2"
-    if d <= 4:
-        return 16, 1, "haar"
-    if d <= 10:
-        # more data supports a finer grid: occupied-cell count is bounded
-        # by n, and the finer grid resolves offsets the coarse one merges;
-        # with only a few hundred points, cells must stay coarse or every
-        # point becomes its own cell
-        n_ = n or 0
-        return (16 if n_ >= 5000 else 8 if n_ >= 500 else 4), 1, "haar"
-    return 4, 1, "haar"
 
 
 @dataclass
@@ -76,7 +53,7 @@ class AdaWaveModel:
     n_transformed_cells: int
     n_kept_cells: int
     densities_sorted: np.ndarray = field(repr=False)
-    labeled_cells: DataFrame = field(repr=False)  # t0..t{d-1}, cluster
+    labeled_cells: DataFrame = field(repr=False)  # transformed c0..c{d-1}, cluster
 
 
 def adawave(
@@ -105,12 +82,9 @@ def adawave(
     ``keep_model=True`` also returns the fitted :class:`AdaWaveModel`.
     """
     d = len(features)
-    n_rows = df.count() if scale is None else None
-    a_scale, a_levels, a_wavelet = auto_params(d, n_rows)
-    scale = a_scale if scale is None else scale
+    _, a_levels, a_wavelet = auto_params(d)
     levels = a_levels if levels is None else levels
-    wavelet = a_wavelet if wavelet is None else wavelet
-    w = get_wavelet(wavelet)
+    w = get_wavelet(a_wavelet if wavelet is None else wavelet)
     if d > 6 and w.max_fanout > 1:
         raise ValueError(
             f"wavelet {w.name!r} has fanout {w.max_fanout} per dimension; "
@@ -118,20 +92,17 @@ def adawave(
             "Use 'haar' for high-dimensional data."
         )
 
-    # -- steps 1-2: quantize + transform (distributed) ---------------------
+    # -- steps 1-2: quantize (Spark), collect the grid, transform (numpy) --
     spec = fit_grid(df, features, scale)
     cells = assign_cells(df, spec)
     grid = grid_densities(cells, d)
-    n_grid = grid.count()
-    tgrid = dwt_spark(grid, d, wavelet=w, levels=levels)
+    tcells, tdens, n_grid = dwt_spark(grid, d, wavelet=w, levels=levels)
 
-    # -- step 2b/3: coefficient denoising + adaptive threshold (driver; the
-    # transformed grid set has M ≪ N rows) ---------------------------------
-    tcols = cell_cols(d)
-    tpdf = tgrid.toPandas()
-    n_transformed = len(tpdf)
-    tpdf = tpdf[tpdf["density"].to_numpy() > _EPS_COEF]
-    dens = np.sort(tpdf["density"].to_numpy())[::-1].copy()
+    # -- step 2b/3: coefficient denoising + adaptive threshold -------------
+    n_transformed = len(tdens)
+    nonzero = tdens > _EPS_COEF
+    tcells, tdens = tcells[nonzero], tdens[nonzero]
+    dens = np.sort(tdens)[::-1]
     if len(dens) < 8 or (len(dens) and dens[0] <= 4 * dens[-1]):
         # too few occupied cells, or a near-flat density curve: there is
         # no signal/noise split to find (typical of coarse high-d grids) —
@@ -148,69 +119,54 @@ def adawave(
         t = angle_threshold(dens)
     else:
         raise ValueError(f"unknown threshold method {threshold_method!r}")
-    kept = tpdf[tpdf["density"].to_numpy() > t].copy()
-    if len(tpdf) and not len(kept):
+    kept = tdens > t
+    if len(tdens) and not kept.any():
         # a degenerate elbow (e.g. all-equal densities) must not erase the
         # data — fall back to keeping every non-zero cell
         t = float(dens[-1]) - 1.0
-        kept = tpdf.copy()
+        kept[:] = True
+    kcells, kdens = tcells[kept], tdens[kept]
 
     # -- step 4: connected components over surviving cells -----------------
-    if len(kept):
-        cmat = kept[tcols].to_numpy(dtype=np.int64)
-        order = np.lexsort(cmat.T[::-1])  # deterministic label numbering
-        cmat = cmat[order]
-        labels = connected_components(cmat, adjacency=adjacency)
-        kept = kept.iloc[order].assign(cluster=labels)
+    # cells arrive in lexicographic order, so label numbering is deterministic
+    labels = connected_components(kcells, adjacency=adjacency)
+    if len(labels) and min_component_frac > 0:
         # prune spurious micro-components back into noise, by density mass
         # (not cell count: a legitimate cluster may occupy one cell when the
         # grid is coarse, but it carries a large share of the total mass)
-        if len(labels) and min_component_frac > 0:
-            dens_kept = kept["density"].to_numpy()
-            mass = np.zeros(int(labels.max()) + 1)
-            np.add.at(mass, labels, dens_kept)
-            min_mass = min_component_frac * mass.sum()
-            ok = mass[labels] >= min_mass
-            kept = kept.iloc[np.flatnonzero(ok)]
-            if len(kept):
-                _, renum = np.unique(kept["cluster"].to_numpy(), return_inverse=True)
-                kept = kept.assign(cluster=renum)
-        n_clusters = int(kept["cluster"].max()) + 1 if len(kept) else 0
-    else:
-        kept = kept.assign(cluster=np.array([], dtype=np.int64))
-        n_clusters = 0
+        mass = np.bincount(labels, weights=kdens)
+        ok = mass[labels] >= min_component_frac * mass.sum()
+        kcells = kcells[ok]
+        _, labels = np.unique(labels[ok], return_inverse=True)
+    n_clusters = int(labels.max()) + 1 if len(labels) else 0
 
-    # -- step 5: lookup table + label join (distributed) -------------------
-    spark = df.sparkSession
-    lut = spark.createDataFrame(kept[tcols + ["cluster"]]) if len(kept) else None
-    shift = 2**levels
-    mapped = cells
-    for cj in cell_cols(d):
-        mapped = mapped.withColumn(f"t_{cj}", (F.col(cj) / shift).cast("long"))
-    if lut is not None:
-        cond = [mapped[f"t_{cj}"] == lut[cj] for cj in tcols]
-        joined = mapped.join(lut.withColumnRenamed("cluster", "__cl"), cond, "left")
-        labeled = joined.withColumn(
-            "cluster", F.coalesce(F.col("__cl"), F.lit(-1)).cast("long")
-        )
-    else:
-        labeled = mapped.withColumn("cluster", F.lit(-1).cast("long"))
-    drop = [f"t_{cj}" for cj in cell_cols(d)] + cell_cols(d) + ["__cl"] + (tcols if lut is not None else [])
-    out = labeled.drop(*[c for c in drop if c in labeled.columns])
+    # -- step 5: lookup table + broadcast label join (Spark) ---------------
+    tcols = cell_cols(d)
+    schema = StructType(
+        [StructField(c, LongType(), False) for c in tcols]
+        + [StructField("cluster", LongType(), False)]
+    )
+    lut_pdf = pd.DataFrame(kcells, columns=tcols).assign(cluster=labels)
+    lut = df.sparkSession.createDataFrame(lut_pdf, schema)
+    keep = [c for c in df.columns if c != "cluster"]  # an input "cluster" is replaced
+    keyed = cells.select(*keep, *[F.shiftright(c, levels).alias(c) for c in tcols])
+    out = keyed.join(F.broadcast(lut), tcols, "left").select(
+        *keep, F.coalesce("cluster", F.lit(-1).cast("long")).alias("cluster")
+    )
 
     if not keep_model:
         return out
     model = AdaWaveModel(
         spec=spec,
-        scale=scale,
+        scale=spec.scale,
         levels=levels,
         wavelet=w.name,
         threshold=float(t),
         n_clusters=n_clusters,
-        n_grid_cells=int(n_grid),
-        n_transformed_cells=int(n_transformed),
-        n_kept_cells=int(len(kept)),
+        n_grid_cells=n_grid,
+        n_transformed_cells=n_transformed,
+        n_kept_cells=len(kcells),
         densities_sorted=dens,
-        labeled_cells=lut if lut is not None else spark.createDataFrame([], "cluster long"),
+        labeled_cells=lut,
     )
     return out, model

@@ -3,8 +3,9 @@
 This is the "grid labeling" data structure of the paper (Section IV-A):
 only cells with non-zero density are materialized, which is what lets the
 algorithm scale past 2-3 dimensions. In Spark it is a pure Catalyst plan:
-a min/max aggregate per dimension, a projection computing the integer cell
-coordinate per dimension, and a ``groupBy(cells).count()``.
+one aggregate for the row count and the min/max of every dimension, a
+projection computing the integer cell coordinate per dimension, and a
+``groupBy(cells).count()``.
 
 The per-object cell coordinates are also returned (``assign_cells``) —
 AdaWave's final step joins cluster labels back onto them.
@@ -13,22 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.wavelet import cell_cols
 
-__all__ = ["GridSpec", "fit_grid", "assign_cells", "grid_densities", "quantize"]
+__all__ = ["GridSpec", "auto_params", "fit_grid", "assign_cells", "grid_densities", "quantize"]
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-dimension [min, max] bounds plus the number of intervals."""
+    """Per-dimension [min, max] bounds, the number of intervals, the row count."""
 
     features: tuple[str, ...]
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
     scale: int
+    n_rows: int = 0
 
     @property
     def d(self) -> int:
@@ -40,19 +43,55 @@ class GridSpec:
         return (span if span > 0 else 1.0) / self.scale
 
 
-def fit_grid(df: DataFrame, features: list[str], scale: int) -> GridSpec:
-    """Compute per-dimension bounds with a single aggregate pass."""
-    if scale < 2:
+def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
+    """(scale, levels, wavelet) defaults by dimensionality and data size.
+
+    2-D uses the paper's default scale=128 with a one-level CDF(2,2)
+    transform — shrunk towards sqrt(n) when the dataset is small, so cell
+    densities stay statistically meaningful (with the paper's ~30k-point
+    benchmark this stays exactly 128). Higher dimensions use coarser grids
+    (cell count would otherwise exceed the point count) and Haar, whose
+    fanout of one keeps the sparse transform size bounded by the input.
+    """
+    if d <= 2:
+        scale = 128
+        if n is not None and n > 0:
+            # round *up*: a too-fine grid degrades gracefully (sparser
+            # cells), a too-coarse one merges adjacent clusters outright
+            scale = int(min(128, max(16, 2 ** int(np.ceil(np.log2(max(4.0, np.sqrt(n))))))))
+        return scale, 1, "cdf2.2"
+    if d <= 4:
+        return 16, 1, "haar"
+    if d <= 10:
+        # more data supports a finer grid: occupied-cell count is bounded
+        # by n, and the finer grid resolves offsets the coarse one merges;
+        # with only a few hundred points, cells must stay coarse or every
+        # point becomes its own cell
+        n_ = n or 0
+        return (16 if n_ >= 5000 else 8 if n_ >= 500 else 4), 1, "haar"
+    return 4, 1, "haar"
+
+
+def fit_grid(df: DataFrame, features: list[str], scale: int | None) -> GridSpec:
+    """Row count and per-dimension bounds in a single aggregate pass.
+
+    ``scale=None`` picks the :func:`auto_params` scale for the dimension
+    count and the row count.
+    """
+    if scale is not None and scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
     if not features:
         raise ValueError("no feature columns given")
-    aggs = []
+    aggs = [F.count(F.lit(1)).alias("n_rows")]
     for f in features:
         aggs += [F.min(f).alias(f"min_{f}"), F.max(f).alias(f"max_{f}")]
     row = df.agg(*aggs).first()
     mins = tuple(float(row[f"min_{f}"]) for f in features)
     maxs = tuple(float(row[f"max_{f}"]) for f in features)
-    return GridSpec(tuple(features), mins, maxs, scale)
+    n = int(row["n_rows"])
+    if scale is None:
+        scale = auto_params(len(features), n)[0]
+    return GridSpec(tuple(features), mins, maxs, scale, n)
 
 
 def assign_cells(df: DataFrame, spec: GridSpec) -> DataFrame:

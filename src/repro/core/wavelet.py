@@ -10,10 +10,13 @@ Two implementations, cross-checked in tests:
 
 - :func:`dwt_dense` — numpy reference on a dense d-dim density array.
 - :func:`dwt_spark` — the production path on the sparse ``{cell: density}``
-  grid as a Spark DataFrame: each non-zero cell is exploded over the filter
+  grid. The grid has M ≪ N rows, so it is collected to the driver once
+  and transformed in numpy: each non-zero cell is repeated over the filter
   taps, taps whose output index is non-integral are dropped (the
-  downsample-by-2 parity check), and contributions are merged with a
-  ``groupBy().sum()``. One narrow+shuffle pass per (dimension x level).
+  downsample-by-2 parity mask), and contributions are merged with
+  ``np.unique`` + ``np.bincount``. Cells are sorted first, so the
+  summation order — and hence every float — is independent of how Spark
+  partitioned the grid.
 
 Filters are center-aligned so that the dominant tap maps original cell
 ``i`` to transformed cell ``floor(i / 2)`` — which is exactly the lookup
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 __all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_spark", "cell_cols"]
 
@@ -164,31 +166,30 @@ def dwt_spark(
     wavelet: str | Wavelet = "haar",
     levels: int = 1,
     density_col: str = "density",
-) -> DataFrame:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Sparse approximation-subband DWT of a quantized grid DataFrame.
 
-    ``grid`` has integer columns ``c0..c{d-1}`` and a double ``density``.
-    Returns a DataFrame of the same shape holding the transformed grid.
-    Transformed coordinates relate to originals by ``t_j = c_j >> levels``
-    for the dominant tap (the lookup-table mapping).
+    ``grid`` has integer columns ``c0..c{d-1}`` and a double ``density``;
+    it is collected once. Returns ``(cells, density, n_grid)``: the
+    transformed cells as an (M', d) int64 array in lexicographic order,
+    their densities, and the number M of input cells. Transformed
+    coordinates relate to originals by ``t_j = c_j >> levels`` for the
+    dominant tap (the lookup-table mapping).
     """
     w = get_wavelet(wavelet)
-    taps = F.array(
-        *[
-            F.struct(F.lit(m).alias("m"), F.lit(float(h)).alias("h"))
-            for m, h in enumerate(w.taps)
-        ]
-    )
-    cols = cell_cols(d)
-    out = grid
+    pdf = grid.select(*cell_cols(d), density_col).toPandas()
+    cells = pdf[cell_cols(d)].to_numpy(dtype=np.int64).reshape(len(pdf), d)
+    dens = pdf[density_col].to_numpy(dtype=np.float64)
+    order = np.lexsort(cells.T[::-1])
+    cells, dens = cells[order], dens[order]
+    taps = np.asarray(w.taps)
+    offsets = w.center - np.arange(len(taps))
     for _ in range(levels):
-        for j, cj in enumerate(cols):
-            num = F.col(cj) + F.lit(w.center) - F.col("tap.m")
-            out = (
-                out.select(*cols, density_col, F.explode(taps).alias("tap"))
-                .where(num % 2 == 0)
-                .withColumn(cj, (num / 2).cast("long"))
-                .groupBy(*cols)
-                .agg(F.sum(F.col(density_col) * F.col("tap.h")).alias(density_col))
-            )
-    return out
+        for j in range(d):
+            num = cells[:, j, None] + offsets  # (M, taps): twice the output index
+            src, tap = np.nonzero(num % 2 == 0)
+            out = cells[src]
+            out[:, j] = num[src, tap] // 2
+            cells, inv = np.unique(out, axis=0, return_inverse=True)
+            dens = np.bincount(inv.ravel(), weights=dens[src] * taps[tap], minlength=len(cells))
+    return cells, dens, len(pdf)

@@ -122,6 +122,48 @@ class TestAdaWaveBasics:
         yt, yp = _labels(out)
         assert len(np.unique(yp[yp >= 0])) >= 1
 
+    def test_labels_independent_of_shuffle_partitions(self, spark):
+        # a density tie at the angle threshold: its outcome must not hinge
+        # on the order in which Spark's partitions summed the grid
+        X, y = paper_synthetic(0.5, n_per_cluster=800, seed=1)
+        df = to_spark(spark, X, y)
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        try:
+            runs = []
+            for parts in (1, 64, 200):
+                spark.conf.set(key, str(parts))
+                runs.append(_labels(adawave(df, ["x0", "x1"], threshold_method="angle"))[1])
+        finally:
+            spark.conf.set(key, before)
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+
+
+class TestAdaWavePlan:
+    def test_label_join_is_broadcast(self, spark, blobs2d):
+        # the suite disables automatic broadcasts; the lookup table is
+        # broadcast explicitly, independent of session config
+        assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+        _, _, df = blobs2d
+        out = adawave(df, ["x0", "x1"])
+        assert "BroadcastHashJoin" in out._jdf.queryExecution().executedPlan().toString()
+
+    def test_spark_jobs_per_call(self, spark, blobs2d):
+        # bounds + row count, one grid collect, the label join
+        _, _, df = blobs2d
+        df.count()  # materialize the cached input outside the group
+        sc = spark.sparkContext
+        group = "test-adawave-jobs"
+        sc.setJobGroup(group, "one adawave call")
+        try:
+            adawave(df, ["x0", "x1"]).select("id", "cluster").collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+        assert 1 <= n_jobs <= 6
+
 
 class TestAdaWaveNoise:
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])

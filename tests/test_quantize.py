@@ -7,8 +7,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities, quantize
+from repro.datasets import uci_like
 from repro.datasets.synthetic import to_spark
 from repro.oracle import assert_equivalent
 
@@ -40,6 +40,11 @@ class TestFitGrid:
         pdf = points_df.toPandas()
         assert spec.mins[0] == pytest.approx(pdf.x0.min())
         assert spec.maxs[1] == pytest.approx(pdf.x1.max())
+        assert spec.n_rows == len(pdf)
+
+    def test_auto_scale_from_row_count(self, points_df):
+        # 2-D, 500 rows: sqrt(500) rounded up to a power of two
+        assert fit_grid(points_df, ["x0", "x1"], None).scale == 32
 
     def test_bad_scale_raises(self, points_df):
         with pytest.raises(ValueError, match="scale"):
@@ -97,19 +102,22 @@ class TestGridDensities:
         """
         assert_equivalent(grid, sql, pts=points_df)
 
-    def test_oracle_on_tpch_lineitem(self, spark):
-        """Quantize TPC-H-lite lineitem on price x quantity; oracle-check."""
-        li = synth_data.lineitem(spark, sf=0.001)
-        cells, grid, spec = quantize(li, ["l_extendedprice", "l_quantity"], 4)
+    def test_oracle_on_unequal_feature_ranges(self, spark):
+        """Quantize the HTRU2 stand-in on two features with unequal spans
+        (~16 vs ~43) and negative minima; oracle-check."""
+        X, _ = uci_like.make("htru2")
+        pts = to_spark(spark, X[:, [0, 3]])
+        cells, grid, spec = quantize(pts, ["x0", "x1"], 8)
         w0, w1 = spec.width(0), spec.width(1)
+        assert w1 > 2 * w0
         sql = f"""
             SELECT
-              LEAST(GREATEST(CAST(FLOOR((l_extendedprice - {spec.mins[0]}) / {w0}) AS BIGINT), 0), 3) AS c0,
-              LEAST(GREATEST(CAST(FLOOR((l_quantity - {spec.mins[1]}) / {w1}) AS BIGINT), 0), 3) AS c1,
+              LEAST(GREATEST(CAST(FLOOR((x0 - {spec.mins[0]}) / {w0}) AS BIGINT), 0), 7) AS c0,
+              LEAST(GREATEST(CAST(FLOOR((x1 - {spec.mins[1]}) / {w1}) AS BIGINT), 0), 7) AS c1,
               CAST(COUNT(*) AS DOUBLE) AS density
-            FROM li GROUP BY 1, 2
+            FROM pts GROUP BY 1, 2
         """
-        assert_equivalent(grid, sql, li=li)
+        assert_equivalent(grid, sql, pts=pts)
 
     def test_order_insensitive(self, spark, points_df):
         """Paper property: grid content independent of input row order."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.threshold import angle_threshold, elbow_threshold, filter_grid
+from repro.core.threshold import angle_threshold, elbow_threshold
 
 
 def three_segment_curve(
@@ -84,29 +84,3 @@ class TestAngle:
     def test_short_input(self):
         assert angle_threshold(np.array([2.0, 1.0])) < 1.0
         assert angle_threshold(np.array([])) == 0.0
-
-
-class TestFilterGrid:
-    def test_elbow_mask(self):
-        y = three_segment_curve()
-        t, mask = filter_grid(y, method="elbow")
-        assert mask.dtype == bool
-        assert mask.sum() >= 1
-        assert (y[mask] > t).all()
-        assert (~mask[y <= t]).all()
-
-    def test_angle_method(self):
-        y = three_segment_curve()
-        t, mask = filter_grid(y, method="angle")
-        assert mask.any()
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown"):
-            filter_grid(three_segment_curve(), method="magic")
-
-    def test_mask_keeps_head_of_sorted_curve(self):
-        y = three_segment_curve()
-        _, mask = filter_grid(y)
-        # sorted descending: the kept region must be a prefix
-        kept_idx = np.flatnonzero(mask)
-        assert kept_idx.max() == len(kept_idx) - 1

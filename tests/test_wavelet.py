@@ -85,53 +85,65 @@ class TestDenseDWT:
         assert (np.abs(out) > 1e-12).sum() > 1  # it did spread
 
 
+def _sparse_cases():
+    # the 2-D ids are the original ones; the 3-D cases carry a "-3d" suffix
+    for d in (2, 3):
+        for levels in (1, 2):
+            for name in ALL_WAVELETS:
+                suffix = "" if d == 2 else "-3d"
+                yield pytest.param(d, name, levels, id=f"{levels}-{name}{suffix}")
+
+
 class TestSparseSparkDWT:
     @pytest.fixture()
     def grid_df(self, spark):
-        def make(arr_2d):
+        def make(arr):
             rows = [
-                {"c0": int(i), "c1": int(j), "density": float(v)}
-                for (i, j), v in np.ndenumerate(arr_2d)
+                {**{f"c{j}": int(i) for j, i in enumerate(idx)}, "density": float(v)}
+                for idx, v in np.ndenumerate(arr)
                 if v != 0
             ]
             return spark.createDataFrame(pd.DataFrame(rows))
 
         return make
 
-    @pytest.mark.parametrize("name", ALL_WAVELETS)
-    @pytest.mark.parametrize("levels", [1, 2])
-    def test_sparse_matches_dense_values(self, spark, grid_df, name, levels):
-        g = np.random.default_rng(hash((name, levels)) % 2**31)
-        a = np.where(g.random((12, 12)) < 0.3, g.random((12, 12)) * 10, 0.0)
+    @pytest.mark.parametrize("d,name,levels", _sparse_cases())
+    def test_sparse_matches_dense_values(self, spark, grid_df, d, name, levels):
+        g = np.random.default_rng([d, levels, ALL_WAVELETS.index(name)])
+        shape = (12,) * d if d == 2 else (8,) * d
+        a = np.where(g.random(shape) < 0.3, g.random(shape) * 10, 0.0)
         if a.sum() == 0:
-            a[3, 3] = 5.0
+            a[(3,) * d] = 5.0
         dense = dwt_dense(a, name, levels=levels)
-        sparse = dwt_spark(grid_df(a), 2, name, levels=levels).toPandas()
-        got = np.sort(sparse[np.abs(sparse.density) > 1e-9].density.to_numpy())
+        _, dens, n_grid = dwt_spark(grid_df(a), d, name, levels=levels)
+        assert n_grid == int((a != 0).sum())
+        got = np.sort(dens[np.abs(dens) > 1e-9])
         want = np.sort(dense[np.abs(dense) > 1e-9].ravel())
-        assert np.allclose(got, want, atol=1e-9), f"{name} L{levels}"
+        assert np.allclose(got, want, atol=1e-9), f"{name} L{levels} d{d}"
 
     def test_haar_output_count_never_grows(self, spark, grid_df):
         g = np.random.default_rng(1)
         a = np.where(g.random((16, 16)) < 0.1, 1.0, 0.0)
         n_in = int((a != 0).sum())
-        out = dwt_spark(grid_df(a), 2, "haar", levels=1)
-        assert out.count() <= n_in
+        cells, _, _ = dwt_spark(grid_df(a), 2, "haar", levels=1)
+        assert len(cells) <= n_in
 
     def test_1d_sparse(self, spark):
         df = spark.createDataFrame(pd.DataFrame({"c0": [0, 1, 5], "density": [1.0, 1.0, 2.0]}))
-        out = dwt_spark(df, 1, "haar", levels=1).toPandas().sort_values("c0")
+        cells, dens, _ = dwt_spark(df, 1, "haar", levels=1)
         # cells 0,1 pair into output 0; cell 5 (odd) pairs into output 2
-        assert out.c0.tolist() == [0, 2]
-        assert np.allclose(out.density.to_numpy(), [2 / np.sqrt(2), 2 / np.sqrt(2)])
+        assert cells[:, 0].tolist() == [0, 2]
+        assert np.allclose(dens, [2 / np.sqrt(2), 2 / np.sqrt(2)])
 
     def test_deterministic(self, spark, grid_df):
-        a = np.zeros((8, 8))
-        a[2, 2] = 3.0
-        a[5, 6] = 1.0
-        r1 = dwt_spark(grid_df(a), 2, "cdf2.2", 1).toPandas().sort_values(["c0", "c1"])
-        r2 = dwt_spark(grid_df(a), 2, "cdf2.2", 1).toPandas().sort_values(["c0", "c1"])
-        pd.testing.assert_frame_equal(r1.reset_index(drop=True), r2.reset_index(drop=True))
+        # bit-identical, lexicographically sorted output however Spark
+        # partitioned the collected grid
+        g = np.random.default_rng(3)
+        a = np.where(g.random((16, 16)) < 0.4, g.random((16, 16)), 0.0)
+        c1, d1, _ = dwt_spark(grid_df(a).repartition(1), 2, "cdf4.2", 2)
+        c2, d2, _ = dwt_spark(grid_df(a).repartition(7), 2, "cdf4.2", 2)
+        assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
+        assert np.array_equal(np.lexsort(c1.T[::-1]), np.arange(len(c1)))
 
     def test_3d_haar(self, spark):
         rows = [
@@ -139,7 +151,8 @@ class TestSparseSparkDWT:
             {"c0": 1, "c1": 1, "c2": 1, "density": 4.0},
         ]
         df = spark.createDataFrame(pd.DataFrame(rows))
-        out = dwt_spark(df, 3, "haar", 1).toPandas()
+        cells, dens, n_grid = dwt_spark(df, 3, "haar", 1)
         # both cells map to transformed cell (0,0,0); mass 8 / sqrt(2)^3
-        assert len(out) == 1
-        assert out.density.iloc[0] == pytest.approx(8.0 / 2 ** 1.5)
+        assert n_grid == 2
+        assert cells.tolist() == [[0, 0, 0]]
+        assert dens[0] == pytest.approx(8.0 / 2 ** 1.5)
