@@ -8,10 +8,10 @@ import sys
 
 import numpy as np
 
-from _session import get_session  # sibling module: script dir is on sys.path
 from repro.core.adawave import adawave
 from repro.datasets.synthetic import paper_synthetic, to_spark
 from repro.metrics.ami import ami
+from repro.session import get_session
 
 
 def main() -> None:

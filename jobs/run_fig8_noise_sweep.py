@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import sys
 
-from _session import get_session  # sibling module: script dir is on sys.path
 from repro.harness.fig8 import run_fig8
+from repro.session import get_session
 
 
 def main() -> None:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import sys
 
-from _session import get_session  # sibling module: script dir is on sys.path
 from repro.harness.table1 import run_table1, table1_matrix
+from repro.session import get_session
 
 
 def main() -> None:

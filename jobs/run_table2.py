@@ -4,8 +4,8 @@ Usage: spark-submit jobs/run_table2.py
 """
 from __future__ import annotations
 
-from _session import get_session  # sibling module: script dir is on sys.path
 from repro.harness.table2 import run_table2
+from repro.session import get_session
 
 
 def main() -> None:

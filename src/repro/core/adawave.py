@@ -14,29 +14,33 @@ Spark; everything in between works on the M ≪ N grid cells on the driver:
    cell is ``c >> levels``; labels join back onto the objects through a
    broadcast hash join                            (Spark)
 
-Defaults are auto-derived from the dimensionality (the paper's notion of
+Defaults are auto-derived from the data (the paper's notion of
 "parameter-free": `scale=128` for the 2-D experiments; coarser grids and a
 fanout-1 wavelet for higher d, because an L-tap filter multiplies the
-sparse-cell count by up to ceil(L/2) per dimension pass).
+sparse-cell count by up to ceil(L/2) per dimension pass). An unset scale at
+d > 4 runs steps 1-4 at three scales (most clusters wins): five reads of N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core.components import connected_components
 from repro.core.quantize import GridSpec, assign_cells, auto_params, fit_grid, grid_densities
 from repro.core.threshold import angle_threshold, elbow_threshold
-from repro.core.wavelet import cell_cols, dwt_spark, get_wavelet
+from repro.core.wavelet import Wavelet, cell_cols, dwt_spark, get_wavelet
 
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
 _EPS_COEF = 1e-9  # "wavelet coefficients close to zero" cutoff (paper step 2)
+# components below this share of the kept density mass become noise: the
+# paper's "further eliminate the noise grids" (dense noise always leaves a
+# few isolated above-threshold cells, yet the paper reports 5+noise clusters)
+_MIN_COMPONENT_FRAC = 0.02
 
 
 @dataclass
@@ -64,22 +68,17 @@ def adawave(
     levels: int | None = None,
     wavelet: str | None = None,
     threshold_method: str = "elbow",
-    elbow_stage: int | None = None,
-    adjacency: str = "auto",
-    min_component_frac: float = 0.02,
     keep_model: bool = False,
 ) -> DataFrame | tuple[DataFrame, AdaWaveModel]:
     """Cluster ``df`` on ``features``; returns ``df`` + ``cluster`` column.
 
-    Noise objects get cluster ``-1``; clusters are labeled ``0..k-1`` in
-    first-appearance order of their cells in the lexicographically sorted
-    grid collection (deterministic). Components carrying less than
-    ``min_component_frac`` of the surviving density mass are folded back
-    into noise — the grid-level analogue of the paper's "further eliminate the
-    noise grids" (randomness in dense noise always leaves a few isolated
-    above-threshold cells; the paper reports exactly 5+noise clusters, so
-    its implementation necessarily prunes these too). With
-    ``keep_model=True`` also returns the fitted :class:`AdaWaveModel`.
+    Noise objects, and rows with a null, NaN or infinite feature, get
+    cluster ``-1``; clusters are labeled ``0..k-1`` in first-appearance
+    order of their cells in the lexicographically sorted grid collection
+    (deterministic). ``scale=None`` picks the scale from the data; at d > 4
+    that is the :func:`auto_params` scale or one of its power-of-two
+    neighbours, whichever finds the most clusters. With ``keep_model=True``
+    also returns the :class:`AdaWaveModel`.
     """
     d = len(features)
     _, a_levels, a_wavelet = auto_params(d)
@@ -92,8 +91,32 @@ def adawave(
             "Use 'haar' for high-dimensional data."
         )
 
+    spec = fit_grid(df, features, scale)  # scale-free bounds: one pass for all scales
+    # d > 4: granularity depends on the unknown class spread. Keep the auto
+    # scale or a power-of-two neighbour, whichever finds the most clusters
+    # (WaveCluster's multi-resolution choice: too coarse merges classes, too
+    # fine shatters them into pruned dust); max() breaks ties to the coarser
+    a = spec.scale
+    scales = sorted({max(2, a // 2), a, 2 * a}) if scale is None and d > 4 else [a]
+    fits = [_cluster_grid(df, replace(spec, scale=s), levels, w, threshold_method) for s in scales]
+    cells, model = max(fits, key=lambda fit: fit[1].n_clusters)
+
+    # -- step 5: broadcast label join (Spark) -------------------------------
+    tcols = cell_cols(d)
+    keep = [c for c in df.columns if c != "cluster"]  # an input "cluster" is replaced
+    keyed = cells.select(*keep, *[F.shiftright(c, levels).alias(c) for c in tcols])
+    out = keyed.join(F.broadcast(model.labeled_cells), tcols, "left").select(
+        *keep, F.coalesce("cluster", F.lit(-1).cast("long")).alias("cluster")
+    )
+    return (out, model) if keep_model else out
+
+
+def _cluster_grid(
+    df: DataFrame, spec: GridSpec, levels: int, w: Wavelet, threshold_method: str
+) -> tuple[DataFrame, AdaWaveModel]:
+    """Steps 1-4 at ``spec.scale``: ``df`` + cells, and the model (with the lookup table)."""
+    d = spec.d
     # -- steps 1-2: quantize (Spark), collect the grid, transform (numpy) --
-    spec = fit_grid(df, features, scale)
     cells = assign_cells(df, spec)
     grid = grid_densities(cells, d)
     tcells, tdens, n_grid = dwt_spark(grid, d, wavelet=w, levels=levels)
@@ -113,8 +136,7 @@ def adawave(
         # coarse high-d grids have no uniform-noise plateau, and the first
         # corner would amputate minority clusters — cut at the second,
         # gentler corner instead (the paper's literal three-segment read)
-        stage = elbow_stage if elbow_stage is not None else (1 if d <= 2 else 2)
-        t = elbow_threshold(dens, stage=stage)
+        t = elbow_threshold(dens, stage=1 if d <= 2 else 2)
     elif threshold_method == "angle":
         t = angle_threshold(dens)
     else:
@@ -129,44 +151,30 @@ def adawave(
 
     # -- step 4: connected components over surviving cells -----------------
     # cells arrive in lexicographic order, so label numbering is deterministic
-    labels = connected_components(kcells, adjacency=adjacency)
-    if len(labels) and min_component_frac > 0:
+    labels = connected_components(kcells)
+    if len(labels):
         # prune spurious micro-components back into noise, by density mass
         # (not cell count: a legitimate cluster may occupy one cell when the
         # grid is coarse, but it carries a large share of the total mass)
         mass = np.bincount(labels, weights=kdens)
-        ok = mass[labels] >= min_component_frac * mass.sum()
+        ok = mass[labels] >= _MIN_COMPONENT_FRAC * mass.sum()
         kcells = kcells[ok]
         _, labels = np.unique(labels[ok], return_inverse=True)
-    n_clusters = int(labels.max()) + 1 if len(labels) else 0
 
-    # -- step 5: lookup table + broadcast label join (Spark) ---------------
     tcols = cell_cols(d)
-    schema = StructType(
-        [StructField(c, LongType(), False) for c in tcols]
-        + [StructField("cluster", LongType(), False)]
-    )
+    schema = ", ".join(f"{c} long" for c in (*tcols, "cluster"))  # typed even when empty
     lut_pdf = pd.DataFrame(kcells, columns=tcols).assign(cluster=labels)
-    lut = df.sparkSession.createDataFrame(lut_pdf, schema)
-    keep = [c for c in df.columns if c != "cluster"]  # an input "cluster" is replaced
-    keyed = cells.select(*keep, *[F.shiftright(c, levels).alias(c) for c in tcols])
-    out = keyed.join(F.broadcast(lut), tcols, "left").select(
-        *keep, F.coalesce("cluster", F.lit(-1).cast("long")).alias("cluster")
-    )
-
-    if not keep_model:
-        return out
     model = AdaWaveModel(
         spec=spec,
         scale=spec.scale,
         levels=levels,
         wavelet=w.name,
         threshold=float(t),
-        n_clusters=n_clusters,
+        n_clusters=int(labels.max()) + 1 if len(labels) else 0,
         n_grid_cells=n_grid,
         n_transformed_cells=n_transformed,
         n_kept_cells=len(kcells),
         densities_sorted=dens,
-        labeled_cells=lut,
+        labeled_cells=df.sparkSession.createDataFrame(lut_pdf, schema),
     )
-    return out, model
+    return cells, model

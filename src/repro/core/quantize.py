@@ -76,7 +76,7 @@ def fit_grid(df: DataFrame, features: list[str], scale: int | None) -> GridSpec:
     """Row count and per-dimension bounds in a single aggregate pass.
 
     ``scale=None`` picks the :func:`auto_params` scale for the dimension
-    count and the row count.
+    count and the row count. Bounds cover finite values only (0 if none).
     """
     if scale is not None and scale < 2:
         raise ValueError(f"scale must be >= 2, got {scale}")
@@ -84,10 +84,12 @@ def fit_grid(df: DataFrame, features: list[str], scale: int | None) -> GridSpec:
         raise ValueError("no feature columns given")
     aggs = [F.count(F.lit(1)).alias("n_rows")]
     for f in features:
-        aggs += [F.min(f).alias(f"min_{f}"), F.max(f).alias(f"max_{f}")]
+        c = F.col(f)  # Spark orders NaN above +inf: "< inf" drops both
+        aggs += [F.min(F.when(c > -np.inf, c)).alias(f"min_{f}"),
+                 F.max(F.when(c < np.inf, c)).alias(f"max_{f}")]
     row = df.agg(*aggs).first()
-    mins = tuple(float(row[f"min_{f}"]) for f in features)
-    maxs = tuple(float(row[f"max_{f}"]) for f in features)
+    mins = tuple(float(row[f"min_{f}"] or 0.0) for f in features)
+    maxs = tuple(float(row[f"max_{f}"] or 0.0) for f in features)
     n = int(row["n_rows"])
     if scale is None:
         scale = auto_params(len(features), n)[0]
@@ -99,20 +101,22 @@ def assign_cells(df: DataFrame, spec: GridSpec) -> DataFrame:
 
     The right-open interval convention of the paper means the maximum value
     of a dimension would land in cell ``scale``; it is clamped into the last
-    cell, matching WaveCluster.
+    cell, matching WaveCluster. A value outside ``[min, max]`` (null, NaN,
+    ±inf) gets a null cell, which AdaWave labels noise.
     """
     out = df
     for j, f in enumerate(spec.features):
         cell = F.floor((F.col(f) - F.lit(spec.mins[j])) / F.lit(spec.width(j)))
-        cell = F.least(F.greatest(cell, F.lit(0)), F.lit(spec.scale - 1))
-        out = out.withColumn(f"c{j}", cell.cast("long"))
+        cell = F.least(cell, F.lit(spec.scale - 1)).cast("long")
+        out = out.withColumn(f"c{j}", F.when(F.col(f).between(spec.mins[j], spec.maxs[j]), cell))
     return out
 
 
 def grid_densities(cells: DataFrame, d: int) -> DataFrame:
-    """Sparse grid: one row per occupied cell with its object count."""
+    """Sparse grid: one row per occupied cell with its object count (null cells dropped)."""
     return (
-        cells.groupBy(*cell_cols(d))
+        cells.dropna(subset=cell_cols(d))
+        .groupBy(*cell_cols(d))
         .agg(F.count(F.lit(1)).cast("double").alias("density"))
     )
 

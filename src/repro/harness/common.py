@@ -28,7 +28,7 @@ from repro.baselines.kmeans import kmeans_spark
 from repro.baselines.ric import ric
 from repro.baselines.skinnydip import skinnydip
 from repro.baselines.stsc import stsc
-from repro.core.adawave import adawave, auto_params
+from repro.core.adawave import adawave
 from repro.datasets.synthetic import to_spark
 
 __all__ = ["ALGORITHMS", "run_algo", "AlgoResult"]
@@ -88,7 +88,6 @@ def run_algo(
     eval_mask: np.ndarray | None = None,
     assign_noise: bool = False,
     seed: int = 0,
-    adawave_kwargs: dict | None = None,
 ) -> AlgoResult:
     """Run one algorithm; returns labels aligned to rows of X and wall time.
 
@@ -107,26 +106,7 @@ def run_algo(
 
     t0 = time.perf_counter()
     if algo == "adawave":
-        df = to_spark(spark, X)
-        feats = [f"x{j}" for j in range(X.shape[1])]
-        kw = adawave_kwargs or {}
-        d = X.shape[1]
-        if "scale" in kw or d <= 4:
-            candidates = [kw.pop("scale", None)] if "scale" in kw else [None]
-        else:
-            # mid/high-d small-data regime: the right grid granularity
-            # depends on the (unknown) class spread — try the auto scale
-            # and its power-of-two neighbours, keep whichever resolves the
-            # most clusters (an unsupervised criterion: a too-coarse grid
-            # merges classes, a too-fine one shatters them into pruned dust)
-            auto_scale = auto_params(d, n)[0]
-            candidates = sorted({max(2, auto_scale // 2), auto_scale, auto_scale * 2})
-        best = None
-        for sc in candidates:
-            out, model = adawave(df, feats, scale=sc, keep_model=True, **kw)
-            if best is None or model.n_clusters > best[1].n_clusters:
-                best = (out, model)
-        out = best[0]
+        out = adawave(to_spark(spark, X), [f"x{j}" for j in range(X.shape[1])])
         pdf = out.select("id", "cluster").toPandas().sort_values("id")
         labels = pdf["cluster"].to_numpy(dtype=np.int64)
     elif algo == "kmeans":

@@ -1,10 +1,4 @@
-"""Shared SparkSession builder for the job entrypoints.
-
-Jobs are written as functions over a SparkSession (see src/repro/harness)
-so they are equally callable from pytest (via the conftest fixture) and
-from ``spark-submit jobs/<name>.py``; this module only exists to give the
-CLI path a session with the same settings as the test fixture.
-"""
+"""The one SparkSession builder, shared by the test fixture and the job scripts."""
 from __future__ import annotations
 
 import os
@@ -13,6 +7,7 @@ from pyspark.sql import SparkSession
 
 
 def get_session(app: str) -> SparkSession:
+    """Arrow on, automatic broadcast joins off, no console progress bars."""
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))

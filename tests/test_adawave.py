@@ -6,6 +6,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.adawave import AdaWaveModel, adawave, auto_params
+from repro.datasets import uci_like
 from repro.datasets.synthetic import paper_synthetic, to_spark
 from repro.metrics.ami import ami
 
@@ -20,6 +21,12 @@ def blobs2d(spark):
     g = np.random.default_rng(0)
     X = np.vstack([g.normal(c, 0.03, (400, 2)) for c in [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]])
     y = np.repeat([0, 1, 2], 400)
+    return X, y, to_spark(spark, X, y).cache()
+
+
+@pytest.fixture(scope="module")
+def wholesale(spark):
+    X, y = uci_like.make("wholesale")  # d = 8: the scale is searched
     return X, y, to_spark(spark, X, y).cache()
 
 
@@ -149,20 +156,56 @@ class TestAdaWavePlan:
         out = adawave(df, ["x0", "x1"])
         assert "BroadcastHashJoin" in out._jdf.queryExecution().executedPlan().toString()
 
-    def test_spark_jobs_per_call(self, spark, blobs2d):
-        # bounds + row count, one grid collect, the label join
-        _, _, df = blobs2d
+    @pytest.mark.parametrize("data,max_jobs", [("blobs2d", 6), ("wholesale", 10)])
+    def test_spark_jobs_per_call(self, spark, request, data, max_jobs):
+        # bounds + row count, one grid collect per scale tried (three at
+        # d > 4), the label join
+        X, _, df = request.getfixturevalue(data)
         df.count()  # materialize the cached input outside the group
         sc = spark.sparkContext
-        group = "test-adawave-jobs"
+        group = f"test-adawave-jobs-{data}"
         sc.setJobGroup(group, "one adawave call")
         try:
-            adawave(df, ["x0", "x1"]).select("id", "cluster").collect()
+            adawave(df, [f"x{j}" for j in range(X.shape[1])]).select("id", "cluster").collect()
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         sc._jsc.sc().listenerBus().waitUntilEmpty()
         n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
-        assert 1 <= n_jobs <= 6
+        assert 1 <= n_jobs <= max_jobs
+
+
+class TestAdaWaveInputContract:
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf")], ids=["null", "nan", "inf"])
+    def test_non_finite_rows_are_noise(self, spark, blobs2d, bad):
+        # every 10th row loses its x0: those rows are noise, and the others
+        # are labeled as if the bad rows were not there
+        _, _, df = blobs2d
+        is_bad = F.col("id") % 10 == 0
+        x0 = F.when(is_bad, F.lit(bad).cast("double")).otherwise(F.col("x0"))
+        _, yp = _labels(adawave(df.withColumn("x0", x0), ["x0", "x1"]))
+        _, ref = _labels(adawave(df.filter(~is_bad), ["x0", "x1"]))
+        bad_rows = np.arange(len(yp)) % 10 == 0
+        assert (yp[bad_rows] == -1).all()
+        assert np.array_equal(yp[~bad_rows], ref)
+
+    def test_empty_input(self, spark, blobs2d):
+        _, _, df = blobs2d
+        out, model = adawave(df.limit(0), ["x0", "x1"], keep_model=True)
+        assert "cluster" in out.columns and out.count() == 0
+        assert model.n_clusters == 0
+
+
+class TestAdaWaveScaleSearch:
+    @pytest.mark.parametrize("scale,found_scale,n_clusters", [(None, 8, 3), (4, 4, 1)])
+    def test_d_over_4_keeps_the_scale_with_most_clusters(
+        self, spark, wholesale, scale, found_scale, n_clusters
+    ):
+        # the auto scale is 4; scale=None also tries 2 and 8, a given scale
+        # is used as is
+        X, _, df = wholesale
+        feats = [f"x{j}" for j in range(X.shape[1])]
+        _, model = adawave(df, feats, scale=scale, keep_model=True)
+        assert (model.scale, model.n_clusters) == (found_scale, n_clusters)
 
 
 class TestAdaWaveNoise:
