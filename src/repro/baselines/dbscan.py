@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.components import UnionFind
+from repro.core.components import label_components
 from repro.metrics.ami import ami
 
 __all__ = ["dbscan", "dbscan_sweep"]
@@ -24,15 +24,16 @@ __all__ = ["dbscan", "dbscan_sweep"]
 
 # Neighbour lists are truncated to this many entries per point. Core
 # status uses the *exact* count; the truncated list only feeds border
-# attachment and core-core union-find, where overlapping neighbourhoods
+# attachment and core-core components, where overlapping neighbourhoods
 # keep dense regions connected regardless (bounds memory to O(n * K)
 # instead of O(sum of neighbourhood sizes), which explodes in dense blobs).
 _MAX_NEIGHBORS = 64
 
 
-def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """(per-point truncated neighbour arrays, exact counts) via an
-    eps-sized grid (d <= 3)."""
+def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, exact counts) via an eps-sized grid (d <= 3): the
+    truncated neighbour list of each point i, concatenated in order of i
+    (``src`` is i, ``dst`` the neighbour)."""
     n, d = X.shape
     cells = np.floor(X / eps).astype(np.int64)
     buckets: dict[tuple, np.ndarray] = {}
@@ -59,55 +60,52 @@ def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[list[np.ndarray], n
             nb = cand[d2 <= eps2]
             counts[i] = nb.size
             out[i] = nb[:_MAX_NEIGHBORS]
-    return out, counts
+    return np.repeat(np.arange(n), [a.size for a in out]), np.concatenate(out), counts
 
 
 def _neighbor_lists_brute(
     X: np.ndarray, eps: float, chunk: int = 2048
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Same as the grid version, by chunked brute force; each list is in
+    increasing index order."""
     n = len(X)
     eps2 = eps * eps
     xx = (X * X).sum(axis=1)
-    out: list[np.ndarray] = []
-    counts = np.zeros(n, dtype=np.int64)
+    src, dst, counts = [], [], []
     for s in range(0, n, chunk):
         block = X[s : s + chunk]
         d2 = xx[s : s + chunk, None] + xx[None, :] - 2.0 * (block @ X.T)
-        for j, row in enumerate(d2):
-            nb = np.flatnonzero(row <= eps2)
-            counts[s + j] = nb.size
-            out.append(nb[:_MAX_NEIGHBORS])
-    return out, counts
+        near = d2 <= eps2
+        rank = np.cumsum(near, axis=1, dtype=np.int32)
+        counts.append(rank[:, -1])
+        i, j = np.nonzero(near & (rank <= _MAX_NEIGHBORS))
+        src.append(i + s)
+        dst.append(j)
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(counts).astype(np.int64)
 
 
 def dbscan(X: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Labels in 0..k-1, noise = -1. Deterministic."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    neigh, counts = (
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    src, dst, counts = (
         _neighbor_lists_grid(X, eps) if d <= 3 else _neighbor_lists_brute(X, eps)
     )
     core = counts >= min_pts
+    to_core = core[dst]
 
-    uf = UnionFind(n)
-    for i in np.flatnonzero(core):
-        for j in neigh[i]:
-            if core[j]:
-                uf.union(i, int(j))
-
+    # clusters numbered by their first core point
+    both = core[src] & to_core
+    root = label_components(n, src[both], dst[both])
     labels = np.full(n, -1, dtype=np.int64)
-    remap: dict[int, int] = {}
-    for i in np.flatnonzero(core):
-        r = uf.find(int(i))
-        if r not in remap:
-            remap[r] = len(remap)
-        labels[i] = remap[r]
+    labels[core] = np.unique(root[core], return_inverse=True)[1]
     # border points: attach to the first core neighbour's cluster
-    for i in np.flatnonzero(~core):
-        for j in neigh[i]:
-            if core[j]:
-                labels[i] = labels[j]
-                break
+    border = ~core[src] & to_core
+    bsrc, bdst = src[border], dst[border]
+    first = np.unique(bsrc, return_index=True)[1]
+    labels[bsrc[first]] = labels[bdst[first]]
     return labels
 
 

@@ -2,8 +2,9 @@
 
 After threshold filtering the transformed grid set is small by
 construction (M ≪ N — the paper's complexity argument rests on it), so
-components are found on the driver with a union-find over a hash set of
-cells. Two adjacency notions:
+components are found on the driver: neighbour pairs come from a hash set
+of cells, and ``label_components`` (a numpy root-hooking kernel, shared
+with the DBSCAN baseline) merges them. Two adjacency notions:
 
 - ``"face"``: cells sharing a (d-1)-face, i.e. coordinates differing by 1
   in exactly one dimension — O(M·d) lookups, usable at any d.
@@ -18,32 +19,30 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["UnionFind", "connected_components"]
+__all__ = ["label_components", "connected_components"]
 
 
-class UnionFind:
-    """Array-based disjoint-set with path compression and union by size."""
+def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each node's root, the smallest index in its component, for edges src--dst.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Shiloach-Vishkin-style root hooking: each round hooks every edge's larger
+    root onto its smaller one, then shortcuts ``lab = lab[lab]`` to a fixed
+    point. Parents only point to smaller indices, so there are no cycles."""
+    lab = np.arange(n, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    while True:
+        a, b = lab[src], lab[dst]
+        live = a != b
+        if not live.any():
+            return lab
+        src, dst, a, b = src[live], dst[live], a[live], b[live]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            nxt = lab[lab]
+            if np.array_equal(nxt, lab):
+                break
+            lab = nxt
 
 
 def connected_components(
@@ -79,20 +78,13 @@ def connected_components(
     else:
         raise ValueError(f"unknown adjacency {adjacency!r}")
 
-    uf = UnionFind(m)
+    src, dst = [], []
     for cell, i in index.items():
         for off in offsets:
-            nb = tuple(c + o for c, o in zip(cell, off))
-            j = index.get(nb)
+            j = index.get(tuple(c + o for c, o in zip(cell, off)))
             if j is not None:
-                uf.union(i, j)
-
-    # Renumber roots to 0..k-1 in first-appearance order.
-    labels = np.empty(m, dtype=np.int64)
-    remap: dict[int, int] = {}
-    for i in range(m):
-        r = uf.find(i)
-        if r not in remap:
-            remap[r] = len(remap)
-        labels[i] = remap[r]
-    return labels
+                src.append(i)
+                dst.append(j)
+    # roots are each component's smallest index, so their sorted order is
+    # the order of first appearance
+    return np.unique(label_components(m, src, dst), return_inverse=True)[1]

@@ -21,13 +21,13 @@ __all__ = ["dip", "diptest", "dip_pvalue"]
 
 
 def dip(x: np.ndarray, *, sort: bool = True) -> float:
-    """Dip statistic of a 1-D sample. Always in [1/(2n), 0.25]."""
+    """Dip statistic of a 1-D sample, in [1/(2n), 0.25]. NaN or ±inf raises ValueError."""
     d, _, _ = _dip_full(np.asarray(x, dtype=np.float64), sort=sort)
     return d
 
 
 def diptest(
-    x: np.ndarray, *, n_boot: int = 2000, seed: int = 17, sort: bool = True
+    x: np.ndarray, *, n_boot: int = 1000, seed: int = 17, sort: bool = True
 ) -> tuple[float, float, tuple[int, int]]:
     """Return ``(dip, p_value, (lo, hi))``.
 
@@ -72,13 +72,19 @@ def _boot_table(n: int, n_boot: int, seed: int) -> np.ndarray:
 
 
 def _dip_full(x: np.ndarray, *, sort: bool = True) -> tuple[float, int, int]:
-    """Core algorithm. Returns (dip, low, high) with low/high sorted-indices."""
+    """Core algorithm. Returns (dip, low, high) with low/high sorted-indices.
+
+    Runs on Python lists, several times faster than numpy scalars, with the
+    same IEEE operations in the same order."""
     x = np.asarray(x, dtype=np.float64).ravel()
     n = x.size
     if n < 1:
         raise ValueError("dip of empty sample")
+    if not np.isfinite(x).all():
+        raise ValueError("dip of a sample with NaN or infinite values")
     if sort:
         x = np.sort(x, kind="mergesort")
+    x = x.tolist()
     if n <= 3 or x[0] == x[n - 1]:
         # Degenerate: the lower bound of the statistic.
         return (0.0 if n == 1 else 1.0 / (2.0 * n)), 0, n - 1
@@ -87,30 +93,30 @@ def _dip_full(x: np.ndarray, *, sort: bool = True) -> tuple[float, int, int]:
     dip_value = 1.0 / (2.0 * n)
 
     # mn[j]: rightmost index < j joined to j on the greatest convex minorant.
-    mn = np.zeros(n, dtype=np.int64)
+    mn = [0] * n
     for j in range(1, n):
-        mn[j] = j - 1
-        while True:
-            mnj = mn[j]
-            mnmnj = mn[mnj]
-            if mnj == 0 or (x[j] - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
+        xj, mnj = x[j], j - 1
+        while mnj != 0:
+            mnmnj, xm = mn[mnj], x[mnj]
+            if (xj - xm) * (mnj - mnmnj) < (xm - x[mnmnj]) * (j - mnj):
                 break
-            mn[j] = mnmnj
+            mnj = mnmnj
+        mn[j] = mnj
 
     # mj[k]: leftmost index > k joined to k on the least concave majorant.
-    mj = np.zeros(n, dtype=np.int64)
+    mj = [0] * n
     mj[n - 1] = n - 1
     for k in range(n - 2, -1, -1):
-        mj[k] = k + 1
-        while True:
-            mjk = mj[k]
-            mjmjk = mj[mjk]
-            if mjk == n - 1 or (x[k] - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
+        xk, mjk = x[k], k + 1
+        while mjk != n - 1:
+            mjmjk, xm = mj[mjk], x[mjk]
+            if (xk - xm) * (mjk - mjmjk) < (xm - x[mjmjk]) * (k - mjk):
                 break
-            mj[k] = mjmjk
+            mjk = mjmjk
+        mj[k] = mjk
 
-    gcm = np.zeros(n, dtype=np.int64)
-    lcm = np.zeros(n, dtype=np.int64)
+    gcm = [0] * n
+    lcm = [0] * n
 
     while True:
         # Change points of the GCM from high down to low.
@@ -180,10 +186,11 @@ def _dip_full(x: np.ndarray, *, sort: bool = True) -> tuple[float, int, int]:
             max_t = 1.0
             jb = gcm[j + 1]
             je = gcm[j]
-            if je - jb > 1 and x[je] != x[jb]:
-                C = (je - jb) / (x[je] - x[jb])
-                for jj in range(jb, je + 1):
-                    t = (jj - jb + 1) - (x[jj] - x[jb]) * C
+            xb = x[jb]
+            if je - jb > 1 and x[je] != xb:
+                C = (je - jb) / (x[je] - xb)
+                for k, xv in enumerate(x[jb : je + 1], 1):
+                    t = k - (xv - xb) * C
                     if max_t < t:
                         max_t = t
             if dip_l < max_t:
@@ -195,10 +202,11 @@ def _dip_full(x: np.ndarray, *, sort: bool = True) -> tuple[float, int, int]:
             max_t = 1.0
             jb = lcm[j]
             je = lcm[j + 1]
-            if je - jb > 1 and x[je] != x[jb]:
-                C = (je - jb) / (x[je] - x[jb])
-                for jj in range(jb, je + 1):
-                    t = (x[jj] - x[jb]) * C - (jj - jb - 1)
+            xb = x[jb]
+            if je - jb > 1 and x[je] != xb:
+                C = (je - jb) / (x[je] - xb)
+                for k, xv in enumerate(x[jb : je + 1], -1):
+                    t = (xv - xb) * C - k
                     if max_t < t:
                         max_t = t
             if dip_u < max_t:
@@ -212,6 +220,6 @@ def _dip_full(x: np.ndarray, *, sort: bool = True) -> tuple[float, int, int]:
         new_high = lcm[ih]
         if low == new_low and high == new_high:
             break
-        low, high = int(new_low), int(new_high)
+        low, high = new_low, new_high
 
-    return float(dip_value), int(low), int(high)
+    return dip_value, low, high

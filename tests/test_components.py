@@ -1,38 +1,56 @@
-"""Unit tests for union-find and grid connected components."""
+"""Unit tests for the components kernel and grid connected components."""
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.components import UnionFind, connected_components
+from repro.core.components import connected_components, label_components
 
 
-class TestUnionFind:
+class TestLabelComponents:
     def test_initially_disjoint(self):
-        uf = UnionFind(4)
-        assert len({uf.find(i) for i in range(4)}) == 4
+        assert label_components(4, [], []).tolist() == [0, 1, 2, 3]
 
-    def test_union_merges(self):
-        uf = UnionFind(4)
-        uf.union(0, 1)
-        uf.union(2, 3)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(2) == uf.find(3)
-        assert uf.find(0) != uf.find(2)
+    def test_edge_merges(self):
+        assert label_components(4, [2], [1]).tolist() == [0, 1, 1, 3]
 
     def test_transitive(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        uf.union(3, 4)
-        uf.union(2, 3)
-        assert len({uf.find(i) for i in range(5)}) == 1
+        assert label_components(5, [0, 1, 3, 2], [1, 2, 4, 3]).tolist() == [0] * 5
 
-    def test_idempotent_union(self):
-        uf = UnionFind(3)
-        uf.union(0, 1)
-        uf.union(0, 1)
-        assert uf.find(0) == uf.find(1)
+    def test_duplicate_edges_idempotent(self):
+        assert label_components(3, [0, 1, 0], [1, 0, 1]).tolist() == [0, 0, 2]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_graph_search(self, seed):
+        n = 200
+        src, dst = np.random.default_rng(seed).integers(0, n, (2, 150))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for a, b in zip(src.tolist(), dst.tolist()):
+            adj[a].append(b)
+            adj[b].append(a)
+        want = [-1] * n
+        for s in range(n):  # the first node reached of each component is its smallest
+            if want[s] < 0:
+                want[s] = s
+                stack = [s]
+                while stack:
+                    for b in adj[stack.pop()]:
+                        if want[b] < 0:
+                            want[b] = s
+                            stack.append(b)
+        assert label_components(n, src, dst).tolist() == want
+
+    def test_permuted_long_path_is_fast(self):
+        # a path whose nodes are in random order: min-label propagation needs
+        # O(n) rounds here (tens of thousands), root hooking O(log n)
+        n = 100_000
+        p = np.random.default_rng(0).permutation(n)
+        t0 = time.perf_counter()
+        root = label_components(n, p[:-1], p[1:])
+        assert time.perf_counter() - t0 < 1.0
+        assert (root == 0).all()
 
 
 class TestConnectedComponents:

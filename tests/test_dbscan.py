@@ -16,42 +16,43 @@ def blobs():
     return X, y
 
 
+def _pairs(src: np.ndarray, dst: np.ndarray) -> set[tuple[int, int]]:
+    return set(zip(src.tolist(), dst.tolist()))
+
+
 class TestNeighborLists:
     def test_grid_equals_brute(self):
         g = np.random.default_rng(1)
         X = g.random((300, 2))
         eps = 0.07  # sparse enough that no list hits the truncation cap
-        grid, gc = _neighbor_lists_grid(X, eps)
-        brute, bc = _neighbor_lists_brute(X, eps)
+        *grid, gc = _neighbor_lists_grid(X, eps)
+        *brute, bc = _neighbor_lists_brute(X, eps)
         assert np.array_equal(gc, bc)
-        for a, b in zip(grid, brute):
-            assert set(a.tolist()) == set(b.tolist())
+        assert _pairs(*grid) == _pairs(*brute)
 
     def test_grid_equals_brute_3d(self):
         g = np.random.default_rng(2)
         X = g.random((200, 3))
         eps = 0.15
-        grid, gc = _neighbor_lists_grid(X, eps)
-        brute, bc = _neighbor_lists_brute(X, eps)
+        *grid, gc = _neighbor_lists_grid(X, eps)
+        *brute, bc = _neighbor_lists_brute(X, eps)
         assert np.array_equal(gc, bc)
-        for a, b in zip(grid, brute):
-            assert set(a.tolist()) == set(b.tolist())
+        assert _pairs(*grid) == _pairs(*brute)
 
     def test_self_always_neighbor(self):
         g = np.random.default_rng(3)
         X = g.random((50, 2))
-        lists, counts = _neighbor_lists_grid(X, 0.05)
-        for i, nb in enumerate(lists):
-            assert i in nb
-            assert counts[i] == nb.size  # no truncation at this density
+        src, dst, counts = _neighbor_lists_grid(X, 0.05)
+        assert np.array_equal(src[src == dst], np.arange(50))
+        assert np.array_equal(np.bincount(src), counts)  # no truncation at this density
 
     def test_counts_exact_when_lists_truncated(self):
         # a dense clump: exact counts must exceed the truncated list length
         g = np.random.default_rng(4)
         X = g.normal(0.5, 0.01, (300, 2))
-        lists, counts = _neighbor_lists_grid(X, 0.2)
+        src, _, counts = _neighbor_lists_grid(X, 0.2)
         assert counts.max() == 300
-        assert max(len(a) for a in lists) <= 64
+        assert np.bincount(src).max() <= 64
         # and the clump still comes out as ONE cluster despite truncation
         labels = dbscan(X, 0.2, 8)
         assert (labels == 0).all()
@@ -69,6 +70,10 @@ class TestDBSCAN:
         lonely = np.array([[0.5, 0.5]])  # isolated point
         labels = dbscan(np.vstack([X, lonely]), 0.05, 5)
         assert labels[-1] == -1
+
+    @pytest.mark.parametrize("d", [2, 5], ids=["grid", "brute"])
+    def test_empty_input(self, d):
+        assert dbscan(np.zeros((0, d)), 0.1, 2).size == 0
 
     def test_all_noise_when_eps_tiny(self, blobs):
         X, _ = blobs

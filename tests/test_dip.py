@@ -6,7 +6,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.dip import dip, dip_pvalue, diptest
+from repro.stats.dip import _dip_full, dip, dip_pvalue, diptest
+
+
+def _sample(kind: str, n: int, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed)
+    if kind == "uniform":
+        return g.random(n)
+    if kind == "normal":
+        return g.normal(0.0, 1.0, n)
+    if kind == "bimodal":
+        return np.concatenate([g.normal(-2.0, 0.5, n // 2), g.normal(2.0, 0.5, n - n // 2)])
+    return g.integers(0, 6, n).astype(np.float64)  # "ties"
+
+
+# (kind, n, dip, low, high) of _sample(kind, n, seed=n), as computed by the
+# numpy-scalar port of AS 217 this kernel replaced; floats written with repr
+_PINNED = [
+    ("uniform", 4, 0.12517933701985356, 2, 3),
+    ("normal", 4, 0.125, 0, 1),
+    ("bimodal", 4, 0.2244731860314713, 0, 1),
+    ("ties", 4, 0.125, 2, 3),
+    ("uniform", 5, 0.11570552916093886, 3, 4),
+    ("normal", 5, 0.1, 0, 1),
+    ("bimodal", 5, 0.18848770997007597, 2, 4),
+    ("ties", 5, 0.1, 2, 4),
+    ("uniform", 50, 0.032883430245589734, 14, 26),
+    ("normal", 50, 0.04744349896524538, 11, 28),
+    ("bimodal", 50, 0.1558162369153914, 25, 46),
+    ("ties", 50, 0.09, 21, 32),
+    ("uniform", 440, 0.017290986511813253, 1, 204),
+    ("normal", 440, 0.010328372014087699, 190, 219),
+    ("bimodal", 440, 0.12739603467874056, 242, 433),
+    ("ties", 440, 0.08977272727272727, 0, 79),
+    ("uniform", 1000, 0.00933181234343155, 117, 228),
+    ("normal", 1000, 0.008522396548354927, 490, 589),
+    ("bimodal", 1000, 0.12871830724287023, 529, 952),
+    ("ties", 1000, 0.0885, 323, 500),
+]
 
 
 class TestDipStatistic:
@@ -72,6 +109,21 @@ class TestDipStatistic:
         x = g.integers(0, 5, 100).astype(float)  # heavy ties
         d = dip(x)
         assert 0.0 <= d <= 0.25 + 1e-12
+
+    @pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "sorted"])
+    @pytest.mark.parametrize("kind,n,d,lo,hi", _PINNED, ids=[f"{k}-{n}" for k, n, *_ in _PINNED])
+    def test_pinned_exact(self, kind, n, d, lo, hi, presorted):
+        x = _sample(kind, n, n)
+        got = _dip_full(np.sort(x), sort=False) if presorted else _dip_full(x)
+        assert got == (d, lo, hi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_raises(self, bad):
+        x = np.array([0.1, 0.5, bad, 0.9, 0.3, 0.2])
+        with pytest.raises(ValueError, match="infinite"):
+            dip(x)
+        with pytest.raises(ValueError, match="infinite"):
+            diptest(x, n_boot=100)
 
 
 class TestDipPValue:
