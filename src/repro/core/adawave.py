@@ -4,9 +4,9 @@ Pipeline (paper Algorithm 1). The N objects are read three times by
 Spark; everything in between works on the M ≪ N grid cells on the driver:
 
 1. quantize the feature space into a sparse grid  (`core.quantize`, Spark:
-   one bounds + row-count aggregate, then one ``groupBy`` over the cells)
-2. low-pass DWT of the sparse grid                (`core.wavelet`: the grid
-   is collected once, the transform runs in numpy)
+   one bounds + row-count aggregate, then one ``groupBy`` over the cells,
+   collected once)
+2. low-pass DWT of the sparse grid                (`core.wavelet`, numpy)
 3. drop near-zero coefficients, then adaptively threshold the sorted
    density curve ("elbow theory")                 (`core.threshold`)
 4. connected components over surviving cells      (`core.components`)
@@ -18,7 +18,8 @@ Defaults are auto-derived from the data (the paper's notion of
 "parameter-free": `scale=128` for the 2-D experiments; coarser grids and a
 fanout-1 wavelet for higher d, because an L-tap filter multiplies the
 sparse-cell count by up to ceil(L/2) per dimension pass). An unset scale at
-d > 4 runs steps 1-4 at three scales (most clusters wins): five reads of N.
+d > 4 runs steps 2-4 at three scales (most clusters wins), each a coarsening
+of the one collected grid, so the N objects are still read three times.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ class AdaWaveModel:
     n_transformed_cells: int
     n_kept_cells: int
     densities_sorted: np.ndarray = field(repr=False)
-    labeled_cells: DataFrame = field(repr=False)  # transformed c0..c{d-1}, cluster
+    labeled_cells: DataFrame | None = field(repr=False)  # transformed c0..c{d-1}, cluster
 
 
 def adawave(
@@ -95,16 +96,25 @@ def adawave(
     # d > 4: granularity depends on the unknown class spread. Keep the auto
     # scale or a power-of-two neighbour, whichever finds the most clusters
     # (WaveCluster's multi-resolution choice: too coarse merges classes, too
-    # fine shatters them into pruned dust); max() breaks ties to the coarser
-    a = spec.scale
-    scales = sorted({max(2, a // 2), a, 2 * a}) if scale is None and d > 4 else [a]
-    fits = [_cluster_grid(df, replace(spec, scale=s), levels, w, threshold_method) for s in scales]
-    cells, model = max(fits, key=lambda fit: fit[1].n_clusters)
+    # fine shatters them into pruned dust). All three come from one grid at
+    # 2·auto: halving a cell width is exact in floating point, so the cells
+    # at scale s are those at 2s shifted right by one bit, last-cell clamp
+    # included. Coarsest first: max() breaks ties to the coarser grid
+    shifts = (0,)
+    if scale is None and d > 4:
+        spec, shifts = replace(spec, scale=2 * spec.scale), (2, 1, 0)
+
+    cells = assign_cells(df, spec)
+    grid, counts = grid_densities(cells, d)  # the one grid collect
+    fits = [(k, *_cluster_grid(grid, counts, k, spec, levels, w, threshold_method)) for k in shifts]
+    k, model, lut = max(fits, key=lambda fit: fit[1].n_clusters)
+    tcols = cell_cols(d)
+    schema = ", ".join(f"{c} long" for c in (*tcols, "cluster"))  # typed even when empty
+    model.labeled_cells = df.sparkSession.createDataFrame(lut, schema)
 
     # -- step 5: broadcast label join (Spark) -------------------------------
-    tcols = cell_cols(d)
     keep = [c for c in df.columns if c != "cluster"]  # an input "cluster" is replaced
-    keyed = cells.select(*keep, *[F.shiftright(c, levels).alias(c) for c in tcols])
+    keyed = cells.select(*keep, *[F.shiftright(c, levels + k).alias(c) for c in tcols])
     out = keyed.join(F.broadcast(model.labeled_cells), tcols, "left").select(
         *keep, F.coalesce("cluster", F.lit(-1).cast("long")).alias("cluster")
     )
@@ -112,14 +122,16 @@ def adawave(
 
 
 def _cluster_grid(
-    df: DataFrame, spec: GridSpec, levels: int, w: Wavelet, threshold_method: str
-) -> tuple[DataFrame, AdaWaveModel]:
-    """Steps 1-4 at ``spec.scale``: ``df`` + cells, and the model (with the lookup table)."""
-    d = spec.d
-    # -- steps 1-2: quantize (Spark), collect the grid, transform (numpy) --
-    cells = assign_cells(df, spec)
-    grid = grid_densities(cells, d)
-    tcells, tdens, n_grid = dwt_spark(grid, d, wavelet=w, levels=levels)
+    grid: np.ndarray, counts: np.ndarray, k: int, spec: GridSpec,
+    levels: int, w: Wavelet, threshold_method: str,
+) -> tuple[AdaWaveModel, pd.DataFrame]:
+    """Steps 2-4 on the collected grid coarsened by ``k`` bits: the model, and
+    its lookup table (transformed cell -> cluster) for ``adawave`` to join on."""
+    d, spec = spec.d, replace(spec, scale=spec.scale >> k)
+    # -- step 2: coarsen and transform the grid (numpy) --------------------
+    grid, inv = np.unique(grid >> k, axis=0, return_inverse=True)
+    counts = np.bincount(inv.ravel(), weights=counts, minlength=len(grid))
+    tcells, tdens = dwt_spark(grid, counts, w, levels)
 
     # -- step 2b/3: coefficient denoising + adaptive threshold -------------
     n_transformed = len(tdens)
@@ -161,9 +173,6 @@ def _cluster_grid(
         kcells = kcells[ok]
         _, labels = np.unique(labels[ok], return_inverse=True)
 
-    tcols = cell_cols(d)
-    schema = ", ".join(f"{c} long" for c in (*tcols, "cluster"))  # typed even when empty
-    lut_pdf = pd.DataFrame(kcells, columns=tcols).assign(cluster=labels)
     model = AdaWaveModel(
         spec=spec,
         scale=spec.scale,
@@ -171,10 +180,10 @@ def _cluster_grid(
         wavelet=w.name,
         threshold=float(t),
         n_clusters=int(labels.max()) + 1 if len(labels) else 0,
-        n_grid_cells=n_grid,
+        n_grid_cells=len(grid),
         n_transformed_cells=n_transformed,
         n_kept_cells=len(kcells),
         densities_sorted=dens,
-        labeled_cells=df.sparkSession.createDataFrame(lut_pdf, schema),
+        labeled_cells=None,  # the winning scale's lookup table, set by adawave()
     )
-    return cells, model
+    return model, pd.DataFrame(kcells, columns=cell_cols(d)).assign(cluster=labels)

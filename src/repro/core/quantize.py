@@ -5,7 +5,8 @@ only cells with non-zero density are materialized, which is what lets the
 algorithm scale past 2-3 dimensions. In Spark it is a pure Catalyst plan:
 one aggregate for the row count and the min/max of every dimension, a
 projection computing the integer cell coordinate per dimension, and a
-``groupBy(cells).count()``.
+``groupBy(cells).count()`` that ``grid_densities`` collects: the one place
+the grid is aggregated, so everything after it is driver-side numpy.
 
 The per-object cell coordinates are also returned (``assign_cells``) —
 AdaWave's final step joins cluster labels back onto them.
@@ -20,7 +21,7 @@ from pyspark.sql import functions as F
 
 from repro.core.wavelet import cell_cols
 
-__all__ = ["GridSpec", "auto_params", "fit_grid", "assign_cells", "grid_densities", "quantize"]
+__all__ = ["GridSpec", "auto_params", "fit_grid", "assign_cells", "grid_densities"]
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,16 @@ def assign_cells(df: DataFrame, spec: GridSpec) -> DataFrame:
     return out
 
 
-def grid_densities(cells: DataFrame, d: int) -> DataFrame:
-    """Sparse grid: one row per occupied cell with its object count (null cells dropped)."""
-    return (
-        cells.dropna(subset=cell_cols(d))
-        .groupBy(*cell_cols(d))
-        .agg(F.count(F.lit(1)).cast("double").alias("density"))
-    )
+def grid_densities(cells: DataFrame, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate and collect the sparse grid (null cells dropped).
 
-
-def quantize(
-    df: DataFrame, features: list[str], scale: int
-) -> tuple[DataFrame, DataFrame, GridSpec]:
-    """One-call convenience: returns (df+cells, sparse grid, spec)."""
-    spec = fit_grid(df, features, scale)
-    cells = assign_cells(df, spec)
-    return cells, grid_densities(cells, spec.d), spec
+    Returns the occupied cells as an (M, d) int64 array in lexicographic
+    order and their object counts as float64 densities. The sort makes the
+    result, and every float computed from it, independent of how Spark
+    partitioned the grid.
+    """
+    cols = cell_cols(d)
+    pdf = cells.dropna(subset=cols).groupBy(*cols).agg(F.count(F.lit(1)).alias("n")).toPandas()
+    grid = pdf[cols].to_numpy(dtype=np.int64).reshape(len(pdf), d)
+    order = np.lexsort(grid.T[::-1])
+    return grid[order], pdf["n"].to_numpy(dtype=np.float64)[order]

@@ -10,13 +10,12 @@ Two implementations, cross-checked in tests:
 
 - :func:`dwt_dense` — numpy reference on a dense d-dim density array.
 - :func:`dwt_spark` — the production path on the sparse ``{cell: density}``
-  grid. The grid has M ≪ N rows, so it is collected to the driver once
-  and transformed in numpy: each non-zero cell is repeated over the filter
-  taps, taps whose output index is non-integral are dropped (the
-  downsample-by-2 parity mask), and contributions are merged with
-  ``np.unique`` + ``np.bincount``. Cells are sorted first, so the
-  summation order — and hence every float — is independent of how Spark
-  partitioned the grid.
+  grid that :func:`repro.core.quantize.grid_densities` collected: each
+  non-zero cell is repeated over the filter taps, taps whose output index
+  is non-integral are dropped (the downsample-by-2 parity mask), and
+  contributions are merged with ``np.unique`` + ``np.bincount``. It runs
+  in numpy on the M ≪ N cells; the name is the pipeline stage's, under
+  which ``perfbench/tracing.py`` times it.
 
 Filters are center-aligned so that the dominant tap maps original cell
 ``i`` to transformed cell ``floor(i / 2)`` — which is exactly the lookup
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
 
 __all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_spark", "cell_cols"]
 
@@ -161,35 +159,27 @@ def dwt_dense(
 
 
 def dwt_spark(
-    grid: DataFrame,
-    d: int,
-    wavelet: str | Wavelet = "haar",
-    levels: int = 1,
-    density_col: str = "density",
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sparse approximation-subband DWT of a quantized grid DataFrame.
+    cells: np.ndarray, dens: np.ndarray, wavelet: str | Wavelet = "haar", levels: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse approximation-subband DWT of a collected grid.
 
-    ``grid`` has integer columns ``c0..c{d-1}`` and a double ``density``;
-    it is collected once. Returns ``(cells, density, n_grid)``: the
-    transformed cells as an (M', d) int64 array in lexicographic order,
-    their densities, and the number M of input cells. Transformed
-    coordinates relate to originals by ``t_j = c_j >> levels`` for the
-    dominant tap (the lookup-table mapping).
+    ``cells`` is an (M, d) int64 array of occupied cells in lexicographic
+    order, as ``grid_densities`` returns them, and ``dens`` their
+    densities; the order fixes the summation order, so the result is
+    bit-reproducible. Returns the transformed cells, again in lexicographic
+    order, and their densities. Transformed coordinates relate to originals
+    by ``t_j = c_j >> levels`` for the dominant tap (the lookup-table
+    mapping).
     """
     w = get_wavelet(wavelet)
-    pdf = grid.select(*cell_cols(d), density_col).toPandas()
-    cells = pdf[cell_cols(d)].to_numpy(dtype=np.int64).reshape(len(pdf), d)
-    dens = pdf[density_col].to_numpy(dtype=np.float64)
-    order = np.lexsort(cells.T[::-1])
-    cells, dens = cells[order], dens[order]
     taps = np.asarray(w.taps)
     offsets = w.center - np.arange(len(taps))
     for _ in range(levels):
-        for j in range(d):
+        for j in range(cells.shape[1]):
             num = cells[:, j, None] + offsets  # (M, taps): twice the output index
             src, tap = np.nonzero(num % 2 == 0)
             out = cells[src]
             out[:, j] = num[src, tap] // 2
             cells, inv = np.unique(out, axis=0, return_inverse=True)
             dens = np.bincount(inv.ravel(), weights=dens[src] * taps[tap], minlength=len(cells))
-    return cells, dens, len(pdf)
+    return cells, dens

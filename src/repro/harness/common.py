@@ -70,8 +70,9 @@ def _extend_labels(X: np.ndarray, sample: np.ndarray, sub_labels: np.ndarray) ->
     rest = np.setdiff1d(np.arange(len(X)), sample)
     S = X[sample]
     ss = (S * S).sum(axis=1)
-    for s in range(0, len(rest), 4096):
-        chunk = rest[s : s + 4096]
+    step = max(1, 2**22 // len(S))  # caps each (step, len(S)) float64 temporary at 32 MB
+    for s in range(0, len(rest), step):
+        chunk = rest[s : s + step]
         B = X[chunk]
         d2 = (B * B).sum(axis=1)[:, None] + ss[None, :] - 2.0 * (B @ S.T)
         labels[chunk] = sub_labels[d2.argmin(axis=1)]

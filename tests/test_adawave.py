@@ -156,10 +156,10 @@ class TestAdaWavePlan:
         out = adawave(df, ["x0", "x1"])
         assert "BroadcastHashJoin" in out._jdf.queryExecution().executedPlan().toString()
 
-    @pytest.mark.parametrize("data,max_jobs", [("blobs2d", 6), ("wholesale", 10)])
+    @pytest.mark.parametrize("data,max_jobs", [("blobs2d", 6), ("wholesale", 6)])
     def test_spark_jobs_per_call(self, spark, request, data, max_jobs):
-        # bounds + row count, one grid collect per scale tried (three at
-        # d > 4), the label join
+        # bounds + row count, one grid collect (also at d > 4, where every
+        # scale tried is a coarsening of it), the label join
         X, _, df = request.getfixturevalue(data)
         df.count()  # materialize the cached input outside the group
         sc = spark.sparkContext

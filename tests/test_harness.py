@@ -55,6 +55,21 @@ class TestRunAlgo:
         assert res.labels.shape == (len(X),)
         assert ami(y, res.labels) > 0.9
 
+    def test_extend_labels_matches_full_matrix_1nn(self):
+        from repro.harness.common import _extend_labels
+
+        # a 4096-row sample maps the other rows in 1024-row chunks: three here
+        g = np.random.default_rng(5)
+        X = g.normal(size=(6596, 3))
+        sample = np.sort(g.choice(len(X), 4096, replace=False))
+        sub = g.integers(0, 5, len(sample))
+        labels = _extend_labels(X, sample, sub)
+        rest = np.setdiff1d(np.arange(len(X)), sample)
+        S, B = X[sample], X[rest]
+        d2 = (B * B).sum(axis=1)[:, None] + (S * S).sum(axis=1)[None, :] - 2.0 * (B @ S.T)
+        assert np.array_equal(labels[sample], sub)
+        assert np.array_equal(labels[rest], sub[d2.argmin(axis=1)])
+
 
 class TestTable1:
     def test_small_subset(self, spark):

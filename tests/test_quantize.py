@@ -1,13 +1,15 @@
 """Unit tests for grid quantization — including the DuckDB oracle check
-that the sparse-grid aggregation is semantically a plain GROUP BY."""
+that the collected sparse grid is semantically a plain GROUP BY."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities, quantize
+from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities
 from repro.datasets import uci_like
 from repro.datasets.synthetic import to_spark
 from repro.oracle import assert_equivalent
@@ -78,60 +80,82 @@ class TestAssignCells:
         assert out.c0.tolist() == [0, 1, 2, 3]
 
 
+def _collect(df, features, scale):
+    """The collected grid of ``df`` at ``scale``: (cells, densities)."""
+    spec = fit_grid(df, features, scale)
+    return grid_densities(assign_cells(df, spec), spec.d)
+
+
+def _assert_matches_duckdb(pts, scale):
+    """The collected grid of ``pts`` (features x0, x1) is exactly DuckDB's
+    GROUP BY over the same cell expression; returns the spec."""
+    spec = fit_grid(pts, ["x0", "x1"], scale)
+    cells, dens = grid_densities(assign_cells(pts, spec), 2)
+    c0, c1 = (
+        f"LEAST(GREATEST(CAST(FLOOR((x{j} - {spec.mins[j]}) / {spec.width(j)}) AS BIGINT), 0), "
+        f"{scale - 1}) AS c{j}"
+        for j in (0, 1)
+    )
+    sql = f"SELECT {c0}, {c1}, CAST(COUNT(*) AS DOUBLE) AS density FROM pts GROUP BY 1, 2"
+    got = pd.DataFrame(cells, columns=["c0", "c1"]).assign(density=dens)
+    assert_equivalent(got, sql, pts=pts)
+    return spec
+
+
 class TestGridDensities:
     def test_total_mass_is_row_count(self, spark, points_df):
-        _, grid, _ = quantize(points_df, ["x0", "x1"], 8)
-        assert grid.agg(F.sum("density")).first()[0] == points_df.count()
+        _, dens = _collect(points_df, ["x0", "x1"], 8)
+        assert dens.sum() == points_df.count()
 
     def test_sparse_only_nonzero(self, spark, points_df):
-        _, grid, _ = quantize(points_df, ["x0", "x1"], 64)
-        pdf = grid.toPandas()
-        assert (pdf.density > 0).all()
-        assert len(pdf) <= points_df.count()
+        cells, dens = _collect(points_df, ["x0", "x1"], 64)
+        assert cells.shape == (len(dens), 2) and cells.dtype == np.int64
+        assert (dens > 0).all()
+        assert len(np.unique(cells, axis=0)) == len(cells) <= points_df.count()
 
     def test_oracle_groupby_equivalence(self, spark, points_df):
-        """The sparse grid is exactly a SQL GROUP BY: check with DuckDB."""
-        cells, grid, spec = quantize(points_df, ["x0", "x1"], 8)
-        w0, w1 = spec.width(0), spec.width(1)
-        sql = f"""
-            SELECT
-              LEAST(GREATEST(CAST(FLOOR((x0 - {spec.mins[0]}) / {w0}) AS BIGINT), 0), 7) AS c0,
-              LEAST(GREATEST(CAST(FLOOR((x1 - {spec.mins[1]}) / {w1}) AS BIGINT), 0), 7) AS c1,
-              CAST(COUNT(*) AS DOUBLE) AS density
-            FROM pts GROUP BY 1, 2
-        """
-        assert_equivalent(grid, sql, pts=points_df)
+        """The collected grid is exactly a SQL GROUP BY: check with DuckDB."""
+        _assert_matches_duckdb(points_df, 8)
 
     def test_oracle_on_unequal_feature_ranges(self, spark):
         """Quantize the HTRU2 stand-in on two features with unequal spans
         (~16 vs ~43) and negative minima; oracle-check."""
         X, _ = uci_like.make("htru2")
-        pts = to_spark(spark, X[:, [0, 3]])
-        cells, grid, spec = quantize(pts, ["x0", "x1"], 8)
-        w0, w1 = spec.width(0), spec.width(1)
-        assert w1 > 2 * w0
-        sql = f"""
-            SELECT
-              LEAST(GREATEST(CAST(FLOOR((x0 - {spec.mins[0]}) / {w0}) AS BIGINT), 0), 7) AS c0,
-              LEAST(GREATEST(CAST(FLOOR((x1 - {spec.mins[1]}) / {w1}) AS BIGINT), 0), 7) AS c1,
-              CAST(COUNT(*) AS DOUBLE) AS density
-            FROM pts GROUP BY 1, 2
-        """
-        assert_equivalent(grid, sql, pts=pts)
+        spec = _assert_matches_duckdb(to_spark(spark, X[:, [0, 3]]), 8)
+        assert spec.width(1) > 2 * spec.width(0)
 
     def test_order_insensitive(self, spark, points_df):
         """Paper property: grid content independent of input row order."""
-        _, grid1, spec = quantize(points_df, ["x0", "x1"], 8)
-        shuffled = points_df.orderBy(F.rand(seed=42))
-        cells2 = assign_cells(shuffled, spec)
-        grid2 = grid_densities(cells2, 2)
-        p1 = grid1.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
-        p2 = grid2.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(p1, p2)
+        spec = fit_grid(points_df, ["x0", "x1"], 8)
+        c1, d1 = grid_densities(assign_cells(points_df, spec), 2)
+        c2, d2 = grid_densities(assign_cells(points_df.orderBy(F.rand(seed=42)), spec), 2)
+        assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
 
     def test_deterministic(self, spark, points_df):
-        _, g1, _ = quantize(points_df, ["x0", "x1"], 16)
-        _, g2, _ = quantize(points_df, ["x0", "x1"], 16)
-        p1 = g1.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
-        p2 = g2.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(p1, p2)
+        # bit-identical, lexicographically sorted output however Spark
+        # partitioned the data it collected
+        spec = fit_grid(points_df, ["x0", "x1"], 16)
+        c1, d1 = grid_densities(assign_cells(points_df.repartition(1), spec), 2)
+        c2, d2 = grid_densities(assign_cells(points_df.repartition(7), spec), 2)
+        assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
+        assert np.array_equal(np.lexsort(c1.T[::-1]), np.arange(len(c1)))
+
+    @pytest.mark.parametrize("half", [True, False], ids=["auto_half", "auto"])
+    def test_one_bit_coarsening_is_the_half_scale_grid(self, spark, half):
+        # adawave's d > 4 scale search builds the grids at auto/2 and auto
+        # from the one at 2·auto; that is exact, the last-cell clamp
+        # included. Lattice rows set the bounds (negative minima) and sit
+        # on or next to cell edges, where a rounding slip would show.
+        step = np.linspace(0.3, 3.1, 6)
+        g = np.random.default_rng(7)
+        X = np.vstack([g.integers(0, 33, (2000, 6)), g.uniform(0, 32, (1000, 6))]) * step - 5.0
+        df = to_spark(spark, X).cache()
+        spec = fit_grid(df, [f"x{j}" for j in range(6)], None)
+        s = spec.scale // 2 if half else spec.scale
+        cells, dens = grid_densities(assign_cells(df, replace(spec, scale=s)), 6)
+        fine, fine_dens = grid_densities(assign_cells(df, replace(spec, scale=2 * s)), 6)
+        coarse, inv = np.unique(fine >> 1, axis=0, return_inverse=True)
+        assert min(spec.mins) < 0 and (cells == s - 1).any(axis=0).all()
+        assert np.array_equal(coarse, cells)
+        assert np.array_equal(np.bincount(inv.ravel(), weights=fine_dens), dens)
+        df.unpersist()

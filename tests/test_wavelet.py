@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core.wavelet import WAVELETS, cell_cols, dwt_dense, dwt_spark, get_wavelet
@@ -94,65 +93,42 @@ def _sparse_cases():
                 yield pytest.param(d, name, levels, id=f"{levels}-{name}{suffix}")
 
 
+def _grid(a):
+    """The non-zero cells of a dense array in lexicographic order, and their values."""
+    idx = np.nonzero(a)
+    return np.stack(idx, axis=1).astype(np.int64), a[idx].astype(np.float64)
+
+
 class TestSparseSparkDWT:
-    @pytest.fixture()
-    def grid_df(self, spark):
-        def make(arr):
-            rows = [
-                {**{f"c{j}": int(i) for j, i in enumerate(idx)}, "density": float(v)}
-                for idx, v in np.ndenumerate(arr)
-                if v != 0
-            ]
-            return spark.createDataFrame(pd.DataFrame(rows))
-
-        return make
-
     @pytest.mark.parametrize("d,name,levels", _sparse_cases())
-    def test_sparse_matches_dense_values(self, spark, grid_df, d, name, levels):
+    def test_sparse_matches_dense_values(self, d, name, levels):
         g = np.random.default_rng([d, levels, ALL_WAVELETS.index(name)])
         shape = (12,) * d if d == 2 else (8,) * d
         a = np.where(g.random(shape) < 0.3, g.random(shape) * 10, 0.0)
         if a.sum() == 0:
             a[(3,) * d] = 5.0
         dense = dwt_dense(a, name, levels=levels)
-        _, dens, n_grid = dwt_spark(grid_df(a), d, name, levels=levels)
-        assert n_grid == int((a != 0).sum())
+        cells, dens = dwt_spark(*_grid(a), name, levels=levels)
+        assert np.array_equal(np.lexsort(cells.T[::-1]), np.arange(len(cells)))
         got = np.sort(dens[np.abs(dens) > 1e-9])
         want = np.sort(dense[np.abs(dense) > 1e-9].ravel())
         assert np.allclose(got, want, atol=1e-9), f"{name} L{levels} d{d}"
 
-    def test_haar_output_count_never_grows(self, spark, grid_df):
+    def test_haar_output_count_never_grows(self):
         g = np.random.default_rng(1)
         a = np.where(g.random((16, 16)) < 0.1, 1.0, 0.0)
         n_in = int((a != 0).sum())
-        cells, _, _ = dwt_spark(grid_df(a), 2, "haar", levels=1)
+        cells, _ = dwt_spark(*_grid(a), "haar", levels=1)
         assert len(cells) <= n_in
 
-    def test_1d_sparse(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"c0": [0, 1, 5], "density": [1.0, 1.0, 2.0]}))
-        cells, dens, _ = dwt_spark(df, 1, "haar", levels=1)
+    def test_1d_sparse(self):
+        cells, dens = dwt_spark(np.array([[0], [1], [5]]), np.array([1.0, 1.0, 2.0]), "haar", 1)
         # cells 0,1 pair into output 0; cell 5 (odd) pairs into output 2
         assert cells[:, 0].tolist() == [0, 2]
         assert np.allclose(dens, [2 / np.sqrt(2), 2 / np.sqrt(2)])
 
-    def test_deterministic(self, spark, grid_df):
-        # bit-identical, lexicographically sorted output however Spark
-        # partitioned the collected grid
-        g = np.random.default_rng(3)
-        a = np.where(g.random((16, 16)) < 0.4, g.random((16, 16)), 0.0)
-        c1, d1, _ = dwt_spark(grid_df(a).repartition(1), 2, "cdf4.2", 2)
-        c2, d2, _ = dwt_spark(grid_df(a).repartition(7), 2, "cdf4.2", 2)
-        assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
-        assert np.array_equal(np.lexsort(c1.T[::-1]), np.arange(len(c1)))
-
-    def test_3d_haar(self, spark):
-        rows = [
-            {"c0": 0, "c1": 0, "c2": 0, "density": 4.0},
-            {"c0": 1, "c1": 1, "c2": 1, "density": 4.0},
-        ]
-        df = spark.createDataFrame(pd.DataFrame(rows))
-        cells, dens, n_grid = dwt_spark(df, 3, "haar", 1)
+    def test_3d_haar(self):
+        cells, dens = dwt_spark(np.array([[0, 0, 0], [1, 1, 1]]), np.array([4.0, 4.0]), "haar", 1)
         # both cells map to transformed cell (0,0,0); mass 8 / sqrt(2)^3
-        assert n_grid == 2
         assert cells.tolist() == [[0, 0, 0]]
         assert dens[0] == pytest.approx(8.0 / 2 ** 1.5)
