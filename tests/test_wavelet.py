@@ -114,6 +114,19 @@ class TestSparseSparkDWT:
         want = np.sort(dense[np.abs(dense) > 1e-9].ravel())
         assert np.allclose(got, want, atol=1e-9), f"{name} L{levels} d{d}"
 
+    def test_deterministic(self):
+        # bit-identical, lexicographically sorted output however the
+        # collected grid is laid out in memory, and the input is not touched
+        g = np.random.default_rng(3)
+        a = np.where(g.random((16, 16)) < 0.4, g.random((16, 16)), 0.0)
+        cells, dens = _grid(a)
+        cells_f, dens_s = np.asfortranarray(cells), np.repeat(dens, 2)[::2]
+        c1, d1 = dwt_spark(cells, dens, "cdf4.2", 2)
+        c2, d2 = dwt_spark(cells_f, dens_s, "cdf4.2", 2)
+        assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
+        assert np.array_equal(np.lexsort(c1.T[::-1]), np.arange(len(c1)))
+        assert np.array_equal(cells, _grid(a)[0]) and np.array_equal(dens, _grid(a)[1])
+
     def test_haar_output_count_never_grows(self):
         g = np.random.default_rng(1)
         a = np.where(g.random((16, 16)) < 0.1, 1.0, 0.0)
