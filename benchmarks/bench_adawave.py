@@ -16,8 +16,7 @@ from repro.datasets.synthetic import paper_synthetic, to_spark
 def test_adawave_runtime(benchmark, spark, n_total):
     n_per_cluster = int(n_total * 0.25 / 5)  # 75 % noise, the Fig-10 setting
     X, y = paper_synthetic(0.75, n_per_cluster=n_per_cluster, seed=0)
-    df = to_spark(spark, X, y).cache()
-    df.count()
+    df = to_spark(spark, X, y)
 
     def run():
         out = adawave(df, ["x0", "x1"])
@@ -25,4 +24,3 @@ def test_adawave_runtime(benchmark, spark, n_total):
 
     rows = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert len(rows) >= 2  # at least one cluster + noise
-    df.unpersist()

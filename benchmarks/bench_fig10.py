@@ -28,13 +28,11 @@ def _data(n_total):
 @pytest.mark.parametrize("n_total", _SIZES)
 def test_fig10_adawave(benchmark, spark, n_total):
     X, y = _data(n_total)
-    df = to_spark(spark, X).cache()
-    df.count()
+    df = to_spark(spark, X)
     benchmark.pedantic(
         lambda: adawave(df, ["x0", "x1"]).select("cluster").distinct().collect(),
         rounds=2, iterations=1, warmup_rounds=1,
     )
-    df.unpersist()
 
 
 @pytest.mark.parametrize("n_total", _SIZES)

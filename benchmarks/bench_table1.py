@@ -23,8 +23,7 @@ _BENCH_DATASETS = ["seeds", "iris", "glass", "dumdh", "htru2", "dermatology", "m
 @pytest.mark.parametrize("name", _BENCH_DATASETS)
 def test_adawave_on_dataset(benchmark, spark, name):
     X, y = uci_like.make(name)
-    df = to_spark(spark, X).cache()
-    df.count()
+    df = to_spark(spark, X)
     feats = [f"x{j}" for j in range(X.shape[1])]
 
     def run():
@@ -36,7 +35,6 @@ def test_adawave_on_dataset(benchmark, spark, name):
     score = ami(y, assign_nearest(X, labels))
     print(f"\n[table1-bench] {name}: adawave AMI={score:.3f} "
           f"(paper: {PAPER_TABLE1[name]['adawave']})")
-    df.unpersist()
 
 
 def test_table1_full_matrix_small(benchmark, spark):

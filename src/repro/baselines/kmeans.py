@@ -2,24 +2,27 @@
 
 The paper runs standard k-means with the correct k ("we similarly set the
 correct k to achieve automatic clustering and ensure the best AMI
-result"). We use MLlib's distributed Lloyd's implementation; features are
-shipped as an array column and converted with ``array_to_vector``.
+result"). We use MLlib's distributed Lloyd's implementation; the input
+frame comes from ``to_spark``, and ``array_to_vector`` packs its feature
+columns into one vector column.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.ml.clustering import KMeans
 from pyspark.ml.functions import array_to_vector
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
+from repro.datasets.synthetic import to_spark
+
 __all__ = ["kmeans_spark"]
 
 
 def _features_df(spark: SparkSession, X: np.ndarray):
-    pdf = pd.DataFrame({"id": np.arange(len(X), dtype=np.int64), "arr": list(map(list, X))})
-    return spark.createDataFrame(pdf).withColumn("features", array_to_vector(F.col("arr")))
+    """``to_spark(spark, X)`` plus a ``features`` vector of x0..x{d-1}."""
+    cols = [F.col(f"x{j}") for j in range(X.shape[1])]
+    return to_spark(spark, X).withColumn("features", array_to_vector(F.array(*cols)))
 
 
 def kmeans_spark(spark: SparkSession, X: np.ndarray, k: int, *, seed: int = 7) -> np.ndarray:

@@ -7,9 +7,9 @@ uniform noise over the unit square at a chosen percentage ``gamma`` of
 the total dataset.
 
 Returns ``(X, y)`` with ``y = -1`` for noise and ``0..4`` for clusters;
-deterministic in ``seed``. ``to_spark`` wraps any (X, y) pair as a Spark
-DataFrame with an ``id`` column so labels can be re-aligned after
-clustering.
+deterministic in ``seed``. ``to_spark`` wraps any (X, y) pair as a
+checkpointed Spark DataFrame with an ``id`` column so labels can be
+re-aligned after clustering.
 """
 from __future__ import annotations
 
@@ -97,10 +97,19 @@ def paper_synthetic(
 
 
 def to_spark(spark: SparkSession, X: np.ndarray, y: np.ndarray | None = None) -> DataFrame:
-    """(X, y) -> Spark DataFrame with columns id, x0..x{d-1}[, label]."""
+    """(X, y) -> Spark DataFrame with columns id, x0..x{d-1}[, label].
+
+    The frame is a local checkpoint: its rows are materialized once, here,
+    in Spark's block manager, and its lineage does not hold them. A frame
+    from ``createDataFrame`` alone keeps its rows inside the partitions of
+    its source RDD, so every task of every job over it, cached or not, is
+    shipped its slice of the data. Local checkpoints are not fault-tolerant:
+    blocks lost with an executor cannot be recomputed. That is acceptable
+    for data built on the driver for tests and experiments.
+    """
     X = np.asarray(X, dtype=np.float64)
     cols = {f"x{j}": X[:, j] for j in range(X.shape[1])}
     pdf = pd.DataFrame({"id": np.arange(len(X), dtype=np.int64), **cols})
     if y is not None:
         pdf["label"] = np.asarray(y, dtype=np.int64)
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf).localCheckpoint()

@@ -21,13 +21,13 @@ def blobs2d(spark):
     g = np.random.default_rng(0)
     X = np.vstack([g.normal(c, 0.03, (400, 2)) for c in [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]])
     y = np.repeat([0, 1, 2], 400)
-    return X, y, to_spark(spark, X, y).cache()
+    return X, y, to_spark(spark, X, y)
 
 
 @pytest.fixture(scope="module")
 def wholesale(spark):
     X, y = uci_like.make("wholesale")  # d = 8: the scale is searched
-    return X, y, to_spark(spark, X, y).cache()
+    return X, y, to_spark(spark, X, y)
 
 
 class TestAutoParams:
@@ -92,6 +92,24 @@ class TestAdaWaveBasics:
         _, y1 = _labels(adawave(df, ["x0", "x1"]))
         _, y2 = _labels(adawave(shuffled, ["x0", "x1"]))
         assert ami(y1, y2[::-1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("data", ["synthetic", "wholesale"])
+    def test_labels_identical_across_row_order_and_partitions(self, spark, data):
+        # the exact form of test_order_insensitive: every id keeps its
+        # label whatever the row order or the number of partitions
+        if data == "synthetic":
+            X, y = paper_synthetic(0.5, n_per_cluster=800, seed=1)
+        else:
+            X, y = uci_like.make("wholesale")  # d = 8: the scale search runs
+        feats = [f"x{j}" for j in range(X.shape[1])]
+        df = to_spark(spark, X, y)
+        reversed_rows = to_spark(spark, X[::-1].copy(), y[::-1].copy()).withColumn(
+            "id", len(X) - 1 - F.col("id")
+        )
+        _, ref = _labels(adawave(df, feats))
+        for other in (df.repartition(1), df.repartition(7), reversed_rows):
+            _, yp = _labels(adawave(other, feats))
+            assert np.array_equal(yp, ref)
 
     def test_keep_model_fields(self, spark, blobs2d):
         _, _, df = blobs2d
@@ -161,7 +179,6 @@ class TestAdaWavePlan:
         # bounds + row count, one grid collect (also at d > 4, where every
         # scale tried is a coarsening of it), the label join
         X, _, df = request.getfixturevalue(data)
-        df.count()  # materialize the cached input outside the group
         sc = spark.sparkContext
         group = f"test-adawave-jobs-{data}"
         sc.setJobGroup(group, "one adawave call")

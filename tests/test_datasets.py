@@ -111,6 +111,16 @@ class TestToSpark:
         df = to_spark(spark, X)
         assert "label" not in df.columns
 
+    def test_lineage_holds_no_rows(self, spark):
+        # jobs over these frames read checkpointed blocks: no task is
+        # shipped its rows from a driver-side collection
+        from repro.baselines.kmeans import _features_df
+
+        X, y = five_clusters(20)
+        for df in (to_spark(spark, X, y), _features_df(spark, X)):
+            lineage = df._jdf.queryExecution().toRdd().toDebugString()
+            assert "ParallelCollectionRDD" not in lineage
+
 
 class TestUciLike:
     @pytest.mark.parametrize("name", list(uci_like.DATASETS))

@@ -19,7 +19,7 @@ from repro.oracle import assert_equivalent
 def points_df(spark):
     g = np.random.default_rng(0)
     X = g.random((500, 2))
-    return to_spark(spark, X).cache()
+    return to_spark(spark, X)
 
 
 class TestGridSpec:
@@ -149,7 +149,7 @@ class TestGridDensities:
         step = np.linspace(0.3, 3.1, 6)
         g = np.random.default_rng(7)
         X = np.vstack([g.integers(0, 33, (2000, 6)), g.uniform(0, 32, (1000, 6))]) * step - 5.0
-        df = to_spark(spark, X).cache()
+        df = to_spark(spark, X)
         spec = fit_grid(df, [f"x{j}" for j in range(6)], None)
         s = spec.scale // 2 if half else spec.scale
         cells, dens = grid_densities(assign_cells(df, replace(spec, scale=s)), 6)
@@ -158,4 +158,3 @@ class TestGridDensities:
         assert min(spec.mins) < 0 and (cells == s - 1).any(axis=0).all()
         assert np.array_equal(coarse, cells)
         assert np.array_equal(np.bincount(inv.ravel(), weights=fine_dens), dens)
-        df.unpersist()
