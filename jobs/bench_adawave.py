@@ -7,9 +7,10 @@ noise, the input frame comes from ``to_spark``. Each run is one
 ``adawave()`` call plus collecting ``(id, cluster)``; one untimed run per
 size warms the JVM, then ``REPEATS`` runs are timed. The record holds the
 git SHA, host facts, the Spark version, per size the median, min and max
-of the timed runs and the Spark jobs of each call, and the per-layer
-medians of ``perfbench/run.py --workload synth2d_200k --seed 1 --seconds 8
---trace 1``, run after this script's own session has stopped.
+of the timed runs, the Spark jobs of each call and their summed duration
+from Spark's status store (the rest of a call is driver time), and the
+per-layer medians of ``perfbench/run.py --workload synth2d_200k --seed 1
+--seconds 8 --trace 1``, run after this script's own session has stopped.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def bench_size(spark, n: int) -> dict:
     df = to_spark(spark, X)
     to_spark_s = time.perf_counter() - t
     sc = spark.sparkContext
-    times, jobs = [], []
+    times, jobs, job_times = [], [], []
     for i in range(REPEATS + 1):
         group = f"bench-{n}-{i}"
         sc.setJobGroup(group, "one adawave call")
@@ -68,7 +69,10 @@ def bench_size(spark, n: int) -> dict:
         if i:  # run 0 is the warm-up
             times.append(time.perf_counter() - t)
             sc._jsc.sc().listenerBus().waitUntilEmpty()
-            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+            ids = list(sc.statusTracker().getJobIdsForGroup(group))
+            jobs.append(len(ids))
+            job_times.append(sum(_job_seconds(sc, j) for j in ids))
+    driver = [t - j for t, j in zip(times, job_times)]
     return {
         "n": len(X),
         "to_spark_s": round(to_spark_s, 3),
@@ -77,7 +81,18 @@ def bench_size(spark, n: int) -> dict:
         "max_s": round(max(times), 3),
         "runs_s": [round(x, 3) for x in times],
         "spark_jobs_per_call": jobs,
+        # a call's wall time is its Spark jobs' time plus the driver's time
+        # between them (planning, py4j calls, collects, driver-side numpy)
+        "median_job_s": round(statistics.median(job_times), 3),
+        "median_driver_s": round(statistics.median(driver), 3),
+        "runs_job_s": [round(x, 3) for x in job_times],
     }
+
+
+def _job_seconds(sc, job_id: int) -> float:
+    """Submission to completion of one finished Spark job, from the status store."""
+    job = sc._jsc.sc().statusStore().job(job_id)
+    return (job.completionTime().get().getTime() - job.submissionTime().get().getTime()) / 1e3
 
 
 def main() -> None:

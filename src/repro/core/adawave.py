@@ -14,6 +14,11 @@ Spark; everything in between works on the M ≪ N grid cells on the driver:
    cell is ``c >> levels``; labels join back onto the objects through a
    broadcast hash join                            (Spark)
 
+Steps 2 and 4 (and the coarsening below) keep grid cells as sorted
+integer rows (`core.cells`). Every Spark step is written as SQL text, one
+JVM call each, with quoted column names, so any input column name works;
+the cell columns take names no input column has.
+
 Defaults are auto-derived from the data (the paper's notion of
 "parameter-free": `scale=128` for the 2-D experiments; coarser grids and a
 fanout-1 wavelet for higher d, because an L-tap filter multiplies the
@@ -30,8 +35,9 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.cells import unique_rows
 from repro.core.components import connected_components
-from repro.core.quantize import GridSpec, assign_cells, auto_params, fit_grid, grid_densities
+from repro.core.quantize import GridSpec, assign_cells, auto_params, fit_grid, grid_densities, quote
 from repro.core.threshold import angle_threshold, elbow_threshold
 from repro.core.wavelet import Wavelet, cell_cols, dwt_spark, get_wavelet
 
@@ -108,15 +114,15 @@ def adawave(
     grid, counts = grid_densities(cells, d)  # the one grid collect
     fits = [(k, *_cluster_grid(grid, counts, k, spec, levels, w, threshold_method)) for k in shifts]
     k, model, lut = max(fits, key=lambda fit: fit[1].n_clusters)
-    tcols = cell_cols(d)
+    tcols = cell_cols(d, df.columns)  # assign_cells' names for the cell columns
     schema = ", ".join(f"{c} long" for c in (*tcols, "cluster"))  # typed even when empty
-    model.labeled_cells = df.sparkSession.createDataFrame(lut, schema)
+    model.labeled_cells = df.sparkSession.createDataFrame(pd.DataFrame(lut, columns=[*tcols, "cluster"]), schema)
 
     # -- step 5: broadcast label join (Spark) -------------------------------
-    keep = [c for c in df.columns if c != "cluster"]  # an input "cluster" is replaced
-    keyed = cells.select(*keep, *[F.shiftright(c, levels + k).alias(c) for c in tcols])
-    out = keyed.join(F.broadcast(model.labeled_cells), tcols, "left").select(
-        *keep, F.coalesce("cluster", F.lit(-1).cast("long")).alias("cluster")
+    keep = [quote(c) for c in df.columns if c != "cluster"]  # an input "cluster" is replaced
+    keyed = cells.selectExpr(*keep, *[f"shiftright({c}, {levels + k}) AS {c}" for c in tcols])
+    out = keyed.join(F.broadcast(model.labeled_cells), tcols, "left").selectExpr(
+        *keep, "coalesce(cluster, -1L) AS cluster"
     )
     return (out, model) if keep_model else out
 
@@ -124,13 +130,14 @@ def adawave(
 def _cluster_grid(
     grid: np.ndarray, counts: np.ndarray, k: int, spec: GridSpec,
     levels: int, w: Wavelet, threshold_method: str,
-) -> tuple[AdaWaveModel, pd.DataFrame]:
+) -> tuple[AdaWaveModel, np.ndarray]:
     """Steps 2-4 on the collected grid coarsened by ``k`` bits: the model, and
-    its lookup table (transformed cell -> cluster) for ``adawave`` to join on."""
+    its lookup table (rows of transformed cell, cluster) for ``adawave`` to
+    join on."""
     d, spec = spec.d, replace(spec, scale=spec.scale >> k)
     # -- step 2: coarsen and transform the grid (numpy) --------------------
-    grid, inv = np.unique(grid >> k, axis=0, return_inverse=True)
-    counts = np.bincount(inv.ravel(), weights=counts, minlength=len(grid))
+    grid, inv = unique_rows(grid >> k)
+    counts = np.bincount(inv, weights=counts, minlength=len(grid))
     tcells, tdens = dwt_spark(grid, counts, w, levels)
 
     # -- step 2b/3: coefficient denoising + adaptive threshold -------------
@@ -186,4 +193,4 @@ def _cluster_grid(
         densities_sorted=dens,
         labeled_cells=None,  # the winning scale's lookup table, set by adawave()
     )
-    return model, pd.DataFrame(kcells, columns=cell_cols(d)).assign(cluster=labels)
+    return model, np.column_stack([kcells, labels])

@@ -2,12 +2,14 @@
 
 After threshold filtering the transformed grid set is small by
 construction (M ≪ N — the paper's complexity argument rests on it), so
-components are found on the driver: neighbour pairs come from a hash set
-of cells, and ``label_components`` (a numpy root-hooking kernel, shared
-with the DBSCAN baseline) merges them. Two adjacency notions:
+components are found on the driver: every cell shifted by every
+neighbour offset is looked up among the cells in one sorted-row pass
+(:func:`repro.core.cells.find_rows`), and ``label_components`` (a numpy
+root-hooking kernel, shared with the DBSCAN baseline) merges the pairs
+found. Two adjacency notions:
 
 - ``"face"``: cells sharing a (d-1)-face, i.e. coordinates differing by 1
-  in exactly one dimension — O(M·d) lookups, usable at any d.
+  in exactly one dimension — M·d lookups, usable at any d.
 - ``"chebyshev"``: all 3^d - 1 neighbours (8-connectivity in 2-D, as
   WaveCluster uses) — only sensible for small d.
 
@@ -18,6 +20,8 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+
+from repro.core.cells import find_rows, unique_rows
 
 __all__ = ["label_components", "connected_components"]
 
@@ -62,29 +66,21 @@ def connected_components(
         return np.zeros(0, dtype=np.int64)
     if adjacency == "auto":
         adjacency = "chebyshev" if d <= 3 else "face"
-    index = {tuple(row): i for i, row in enumerate(cells.tolist())}
-    if len(index) != m:
+    if len(unique_rows(cells)[0]) != m:
         raise ValueError("duplicate cells in input")
 
     if adjacency == "face":
-        offsets = []
-        for j in range(d):
-            off = [0] * d
-            off[j] = 1
-            offsets.append(tuple(off))
+        offsets = np.eye(d, dtype=np.int64)
     elif adjacency == "chebyshev":
-        offsets = [o for o in product((-1, 0, 1), repeat=d) if any(o) and o > tuple([0] * d)]
-        # only "positive" half of the offsets: each pair checked once
+        # only the "positive" half of the offsets: each pair checked once
+        offsets = np.array([o for o in product((-1, 0, 1), repeat=d) if o > (0,) * d], dtype=np.int64)
     else:
         raise ValueError(f"unknown adjacency {adjacency!r}")
 
-    src, dst = [], []
-    for cell, i in index.items():
-        for off in offsets:
-            j = index.get(tuple(c + o for c, o in zip(cell, off)))
-            if j is not None:
-                src.append(i)
-                dst.append(j)
+    # cell i's neighbour at offset k is query row k·m + i
+    dst = find_rows(cells, (offsets[:, None, :] + cells).reshape(-1, d))
+    src = np.tile(np.arange(m), len(offsets))
+    found = dst >= 0
     # roots are each component's smallest index, so their sorted order is
     # the order of first appearance
-    return np.unique(label_components(m, src, dst), return_inverse=True)[1]
+    return np.unique(label_components(m, src[found], dst[found]), return_inverse=True)[1]

@@ -8,6 +8,12 @@ projection computing the integer cell coordinate per dimension, and a
 ``groupBy(cells).count()`` that ``grid_densities`` collects: the one place
 the grid is aggregated, so everything after it is driver-side numpy.
 
+Each plan step's expressions are written as Spark SQL text, so that Spark
+parses a whole step in one JVM call rather than one call per expression
+node: column names go in backticks (:func:`quote`), and every double is
+an exact literal (:func:`double_literal`), so the SQL cell formula is
+bit for bit the float64 one.
+
 The per-object cell coordinates are also returned (``assign_cells``) —
 AdaWave's final step joins cluster labels back onto them.
 """
@@ -21,7 +27,7 @@ from pyspark.sql import functions as F
 
 from repro.core.wavelet import cell_cols
 
-__all__ = ["GridSpec", "auto_params", "fit_grid", "assign_cells", "grid_densities"]
+__all__ = ["GridSpec", "auto_params", "quote", "double_literal", "fit_grid", "assign_cells", "grid_densities"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,22 @@ def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
     return 4, 1, "haar"
 
 
+def quote(name: str) -> str:
+    """A column name as a Spark SQL identifier: in backticks, backticks doubled."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def double_literal(x: float) -> str:
+    """An exact Spark SQL literal for the double ``x``.
+
+    ``repr`` round-trips every finite double (subnormals and ``-0.0``
+    included) and Spark parses a ``D``-suffixed literal exactly; ``inf``,
+    ``-inf`` and ``nan`` have no literal syntax and are cast from strings.
+    """
+    x = float(x)
+    return f"{x!r}D" if np.isfinite(x) else f"CAST('{x!r}' AS DOUBLE)"
+
+
 def fit_grid(df: DataFrame, features: list[str], scale: int | None) -> GridSpec:
     """Row count and per-dimension bounds in a single aggregate pass.
 
@@ -83,46 +105,48 @@ def fit_grid(df: DataFrame, features: list[str], scale: int | None) -> GridSpec:
         raise ValueError(f"scale must be >= 2, got {scale}")
     if not features:
         raise ValueError("no feature columns given")
-    aggs = [F.count(F.lit(1)).alias("n_rows")]
-    for f in features:
-        c = F.col(f)  # Spark orders NaN above +inf: "< inf" drops both
-        aggs += [F.min(F.when(c > -np.inf, c)).alias(f"min_{f}"),
-                 F.max(F.when(c < np.inf, c)).alias(f"max_{f}")]
-    row = df.agg(*aggs).first()
-    mins = tuple(float(row[f"min_{f}"] or 0.0) for f in features)
-    maxs = tuple(float(row[f"max_{f}"] or 0.0) for f in features)
-    n = int(row["n_rows"])
+    aggs = ["count(1) AS n_rows"]
+    for f in map(quote, features):  # Spark orders NaN above +inf: "< inf" drops both
+        aggs += [f"min(CASE WHEN {f} > {double_literal(-np.inf)} THEN {f} END)",
+                 f"max(CASE WHEN {f} < {double_literal(np.inf)} THEN {f} END)"]
+    row = df.selectExpr(*aggs).collect()[0]  # one row: first() would plan a limit on top
+    mins = tuple(float(v or 0.0) for v in row[1::2])
+    maxs = tuple(float(v or 0.0) for v in row[2::2])
+    n = int(row[0])
     if scale is None:
         scale = auto_params(len(features), n)[0]
     return GridSpec(tuple(features), mins, maxs, scale, n)
 
 
 def assign_cells(df: DataFrame, spec: GridSpec) -> DataFrame:
-    """Add integer cell-coordinate columns ``c0..c{d-1}`` to ``df``.
+    """Append integer cell-coordinate columns ``c0..c{d-1}`` to ``df``.
 
     The right-open interval convention of the paper means the maximum value
     of a dimension would land in cell ``scale``; it is clamped into the last
     cell, matching WaveCluster. A value outside ``[min, max]`` (null, NaN,
-    ±inf) gets a null cell, which AdaWave labels noise.
+    ±inf) gets a null cell, which AdaWave labels noise. The cell columns
+    take underscores in front (``_c0``, ...) while a name is already in
+    ``df`` (:func:`~repro.core.wavelet.cell_cols`).
     """
-    out = df
-    for j, f in enumerate(spec.features):
-        cell = F.floor((F.col(f) - F.lit(spec.mins[j])) / F.lit(spec.width(j)))
-        cell = F.least(cell, F.lit(spec.scale - 1)).cast("long")
-        out = out.withColumn(f"c{j}", F.when(F.col(f).between(spec.mins[j], spec.maxs[j]), cell))
-    return out
+    cells = {}
+    for j, (f, c) in enumerate(zip(spec.features, cell_cols(spec.d, df.columns))):
+        x, lo, hi = quote(f), double_literal(spec.mins[j]), double_literal(spec.maxs[j])
+        cell = f"CAST(least(floor(({x} - {lo}) / {double_literal(spec.width(j))}), {spec.scale - 1}) AS BIGINT)"
+        cells[c] = F.expr(f"CASE WHEN {x} >= {lo} AND {x} <= {hi} THEN {cell} END")
+    return df.withColumns(cells)
 
 
 def grid_densities(cells: DataFrame, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate and collect the sparse grid (null cells dropped).
 
-    Returns the occupied cells as an (M, d) int64 array in lexicographic
-    order and their object counts as float64 densities. The sort makes the
-    result, and every float computed from it, independent of how Spark
-    partitioned the grid.
+    ``cells`` is an :func:`assign_cells` frame, whose last ``d`` columns
+    are the cells. Returns the occupied cells as an (M, d) int64 array in
+    lexicographic order and their object counts as float64 densities. The
+    sort makes the result, and every float computed from it, independent of
+    how Spark partitioned the grid.
     """
-    cols = cell_cols(d)
-    pdf = cells.dropna(subset=cols).groupBy(*cols).agg(F.count(F.lit(1)).alias("n")).toPandas()
+    cols = cells.columns[-d:]
+    pdf = cells.dropna(subset=cols).groupBy(*cols).count().toPandas()
     grid = pdf[cols].to_numpy(dtype=np.int64).reshape(len(pdf), d)
     order = np.lexsort(grid.T[::-1])
-    return grid[order], pdf["n"].to_numpy(dtype=np.float64)[order]
+    return grid[order], pdf["count"].to_numpy(dtype=np.float64)[order]

@@ -13,9 +13,10 @@ Two implementations, cross-checked in tests:
   grid that :func:`repro.core.quantize.grid_densities` collected: each
   non-zero cell is repeated over the filter taps, taps whose output index
   is non-integral are dropped (the downsample-by-2 parity mask), and
-  contributions are merged with ``np.unique`` + ``np.bincount``. It runs
-  in numpy on the M ≪ N cells; the name is the pipeline stage's, under
-  which ``perfbench/tracing.py`` times it.
+  contributions to one output cell are merged with
+  :func:`repro.core.cells.unique_rows` + ``np.bincount``. It runs in numpy
+  on the M ≪ N cells; the name is the pipeline stage's, under which
+  ``perfbench/tracing.py`` times it.
 
 Filters are center-aligned so that the dominant tap maps original cell
 ``i`` to transformed cell ``floor(i / 2)`` — which is exactly the lookup
@@ -23,9 +24,12 @@ table AdaWave needs to map objects back from the transformed space.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.core.cells import unique_rows
 
 __all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_spark", "cell_cols"]
 
@@ -107,9 +111,16 @@ def get_wavelet(name: str | Wavelet) -> Wavelet:
         raise ValueError(f"unknown wavelet {name!r}; available: {sorted(WAVELETS)}") from None
 
 
-def cell_cols(d: int) -> list[str]:
-    """Canonical names of the grid-coordinate columns for d dimensions."""
-    return [f"c{i}" for i in range(d)]
+def cell_cols(d: int, taken: Iterable[str] = ()) -> list[str]:
+    """Names of the grid-coordinate columns for d dimensions: ``c0..c{d-1}``,
+    with underscores in front until none is a name in ``taken``. Spark
+    resolves column names case-insensitively by default; so does the check.
+    """
+    taken = {t.lower() for t in taken}
+    prefix = "c"
+    while any(f"{prefix}{j}" in taken for j in range(d)):
+        prefix = "_" + prefix
+    return [f"{prefix}{j}" for j in range(d)]
 
 
 def _dwt_dense_1d(
@@ -180,6 +191,6 @@ def dwt_spark(
             src, tap = np.nonzero(num % 2 == 0)
             out = cells[src]
             out[:, j] = num[src, tap] // 2
-            cells, inv = np.unique(out, axis=0, return_inverse=True)
-            dens = np.bincount(inv.ravel(), weights=dens[src] * taps[tap], minlength=len(cells))
+            cells, inv = unique_rows(out)
+            dens = np.bincount(inv, weights=dens[src] * taps[tap], minlength=len(cells))
     return cells, dens

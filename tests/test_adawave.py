@@ -212,6 +212,35 @@ class TestAdaWaveInputContract:
         assert model.n_clusters == 0
 
 
+class TestAdaWaveColumnNames:
+    @pytest.mark.parametrize("names", [("a.b", "x1"), ("we`ird", "x1"), ("a b", "y-1")])
+    def test_any_feature_name(self, spark, blobs2d, names):
+        # a dot or a backtick in a name is not syntax to Spark
+        _, _, df = blobs2d
+        renamed = df.withColumnsRenamed(dict(zip(["x0", "x1"], names)))
+        out = adawave(renamed, list(names))
+        assert out.columns == [*renamed.columns, "cluster"]
+        assert np.array_equal(_labels(out)[1], _labels(adawave(df, ["x0", "x1"]))[1])
+
+    @pytest.mark.parametrize("extra,features", [
+        ({"c0": "x1 * 2"}, ["x0", "x1"]),  # an extra input column
+        ({"C0": "x1 * 2"}, ["x0", "x1"]),  # names resolve case-insensitively
+        ({"c1": "x0", "c0": "x1"}, ["c1", "c0"]),  # features named like cells
+    ], ids=["extra_c0", "extra_C0", "features_c1_c0"])
+    def test_input_columns_named_like_cells(self, spark, blobs2d, extra, features):
+        # the cell columns take names no input column has; every input
+        # column comes back unchanged
+        _, _, df = blobs2d
+        framed = df.withColumns({c: F.expr(e) for c, e in extra.items()})
+        out = adawave(framed, features)
+        assert out.columns == [*framed.columns, "cluster"]
+        pdf = out.toPandas().sort_values("id")
+        want = framed.toPandas().sort_values("id")
+        for c in framed.columns:
+            assert np.array_equal(pdf[c].to_numpy(), want[c].to_numpy())
+        assert np.array_equal(pdf["cluster"].to_numpy(), _labels(adawave(df, ["x0", "x1"]))[1])
+
+
 class TestAdaWaveScaleSearch:
     @pytest.mark.parametrize("scale,found_scale,n_clusters", [(None, 8, 3), (4, 4, 1)])
     def test_d_over_4_keeps_the_scale_with_most_clusters(

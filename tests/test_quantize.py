@@ -80,6 +80,34 @@ class TestAssignCells:
         assert out.c0.tolist() == [0, 1, 2, 3]
 
 
+def _numpy_cells(x: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """``assign_cells``' formula in float64 numpy: NaN for a null cell.
+
+    Spark casts the floor to long as Java does: NaN becomes 0 and +inf
+    the largest long, which the clamp then takes to the last cell."""
+    lo, hi, w = spec.mins[0], spec.maxs[0], spec.width(0)
+    with np.errstate(all="ignore"):
+        q = np.floor((x - lo) / w)
+    cell = np.where(np.isnan(q), 0.0, np.minimum(q, spec.scale - 1))
+    return np.where((x >= lo) & (x <= hi), cell, np.nan)
+
+
+def _near(*xs: float) -> list[float]:
+    """Each value and its neighbouring doubles."""
+    return [y for x in xs for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+_TINY = 5e-324  # the smallest subnormal
+_ULP1 = float(np.nextafter(1.0, 2.0))  # the double after 1.0
+_LITERAL_CASES = {
+    # name: (min, max, scale, values)
+    "subnormal_bound": (3 * _TINY, 1.0, 7, _near(3 * _TINY, 1 / 7, 3 / 7, 1.0) + [0.0, 2 * _TINY, 1e-310]),
+    "negative_zero": (-0.0, 0.3, 3, _near(-0.0, 0.1, 0.2, 0.3) + [-_TINY]),
+    "one_ulp_span": (1.0, _ULP1, 4, _near(1.0, _ULP1)),
+    "span_overflows": (-1.5e308, 1.7e308, 8, _near(-1.5e308, -1e308, 0.0, 1e308, 1.7e308)),
+}
+
+
 def _collect(df, features, scale):
     """The collected grid of ``df`` at ``scale``: (cells, densities)."""
     spec = fit_grid(df, features, scale)
@@ -100,6 +128,23 @@ def _assert_matches_duckdb(pts, scale):
     got = pd.DataFrame(cells, columns=["c0", "c1"]).assign(density=dens)
     assert_equivalent(got, sql, pts=pts)
     return spec
+
+
+class TestSqlLiterals:
+    @pytest.mark.parametrize("case", list(_LITERAL_CASES))
+    def test_cells_match_numpy(self, spark, case):
+        # every bound and width reaches Spark as the exact double: a cell
+        # edge one ulp off would move the rows placed next to it
+        lo, hi, scale, values = _LITERAL_CASES[case]
+        spec = GridSpec(("x0",), (lo,), (hi,), scale)
+        x = np.array(values + [np.nan, np.inf, -np.inf])
+        df = spark.createDataFrame(pd.DataFrame({"id": np.arange(len(x)), "x0": x}))
+        got = assign_cells(df, spec).toPandas().sort_values("id")["c0"].to_numpy(dtype=np.float64)
+        want = _numpy_cells(x, spec)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isfinite(want).sum() >= 3
+        if case == "span_overflows":  # width inf: every row in range is in cell 0
+            assert spec.width(0) == np.inf and set(want[np.isfinite(want)]) == {0.0}
 
 
 class TestGridDensities:
