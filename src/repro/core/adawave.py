@@ -115,8 +115,9 @@ def adawave(
     fits = [(k, *_cluster_grid(grid, counts, k, spec, levels, w, threshold_method)) for k in shifts]
     k, model, lut = max(fits, key=lambda fit: fit[1].n_clusters)
     tcols = cell_cols(d, df.columns)  # assign_cells' names for the cell columns
-    schema = ", ".join(f"{c} long" for c in (*tcols, "cluster"))  # typed even when empty
-    model.labeled_cells = df.sparkSession.createDataFrame(pd.DataFrame(lut, columns=[*tcols, "cluster"]), schema)
+    names = [*tcols, "cluster"]
+    schema = ", ".join(f"{c} long" for c in names)  # typed even when empty
+    model.labeled_cells = df.sparkSession.createDataFrame(pd.DataFrame(lut, columns=names), schema)
 
     # -- step 5: broadcast label join (Spark) -------------------------------
     keep = [quote(c) for c in df.columns if c != "cluster"]  # an input "cluster" is replaced

@@ -131,7 +131,8 @@ def assign_cells(df: DataFrame, spec: GridSpec) -> DataFrame:
     cells = {}
     for j, (f, c) in enumerate(zip(spec.features, cell_cols(spec.d, df.columns))):
         x, lo, hi = quote(f), double_literal(spec.mins[j]), double_literal(spec.maxs[j])
-        cell = f"CAST(least(floor(({x} - {lo}) / {double_literal(spec.width(j))}), {spec.scale - 1}) AS BIGINT)"
+        w = double_literal(spec.width(j))
+        cell = f"CAST(least(floor(({x} - {lo}) / {w}), {spec.scale - 1}) AS BIGINT)"
         cells[c] = F.expr(f"CASE WHEN {x} >= {lo} AND {x} <= {hi} THEN {cell} END")
     return df.withColumns(cells)
 
