@@ -39,7 +39,7 @@ from repro.core.cells import unique_rows
 from repro.core.components import connected_components
 from repro.core.quantize import GridSpec, assign_cells, auto_params, fit_grid, grid_densities, quote
 from repro.core.threshold import angle_threshold, elbow_threshold
-from repro.core.wavelet import Wavelet, cell_cols, dwt_spark, get_wavelet
+from repro.core.wavelet import Wavelet, dwt_spark, get_wavelet
 
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
@@ -114,13 +114,14 @@ def adawave(
     grid, counts = grid_densities(cells, d)  # the one grid collect
     fits = [(k, *_cluster_grid(grid, counts, k, spec, levels, w, threshold_method)) for k in shifts]
     k, model, lut = max(fits, key=lambda fit: fit[1].n_clusters)
-    tcols = cell_cols(d, df.columns)  # assign_cells' names for the cell columns
+    tcols = cells.columns[-d:]  # assign_cells appends the cell columns
     names = [*tcols, "cluster"]
     schema = ", ".join(f"{c} long" for c in names)  # typed even when empty
     model.labeled_cells = df.sparkSession.createDataFrame(pd.DataFrame(lut, columns=names), schema)
 
     # -- step 5: broadcast label join (Spark) -------------------------------
-    keep = [quote(c) for c in df.columns if c != "cluster"]  # an input "cluster" is replaced
+    # an input "cluster" is replaced, in any case: Spark resolves names case-insensitively
+    keep = [quote(c) for c in df.columns if c.lower() != "cluster"]
     keyed = cells.selectExpr(*keep, *[f"shiftright({c}, {levels + k}) AS {c}" for c in tcols])
     out = keyed.join(F.broadcast(model.labeled_cells), tcols, "left").selectExpr(
         *keep, "coalesce(cluster, -1L) AS cluster"

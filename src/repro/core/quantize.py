@@ -19,15 +19,18 @@ AdaWave's final step joins cluster labels back onto them.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.wavelet import cell_cols
-
-__all__ = ["GridSpec", "auto_params", "quote", "double_literal", "fit_grid", "assign_cells", "grid_densities"]
+__all__ = [
+    "GridSpec", "auto_params", "cell_cols", "quote", "double_literal",
+    "fit_grid", "assign_cells", "grid_densities",
+]
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,10 @@ class GridSpec:
 
     def width(self, j: int) -> float:
         span = self.maxs[j] - self.mins[j]
-        # A constant dimension still needs a non-zero cell width.
-        return (span if span > 0 else 1.0) / self.scale
+        # A constant dimension still needs a non-zero cell width, and so does
+        # a span of fewer than ``scale`` subnormal ulps, whose quotient
+        # rounds to 0.0: it gets the smallest positive double.
+        return max((span if span > 0 else 1.0) / self.scale, math.ulp(0.0))
 
 
 def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
@@ -77,6 +82,18 @@ def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
         n_ = n or 0
         return (16 if n_ >= 5000 else 8 if n_ >= 500 else 4), 1, "haar"
     return 4, 1, "haar"
+
+
+def cell_cols(d: int, taken: Iterable[str] = ()) -> list[str]:
+    """Names of the grid-coordinate columns for d dimensions: ``c0..c{d-1}``,
+    with underscores in front until none is a name in ``taken``. Spark
+    resolves column names case-insensitively by default; so does the check.
+    """
+    taken = {t.lower() for t in taken}
+    prefix = "c"
+    while any(f"{prefix}{j}" in taken for j in range(d)):
+        prefix = "_" + prefix
+    return [f"{prefix}{j}" for j in range(d)]
 
 
 def quote(name: str) -> str:
@@ -126,7 +143,7 @@ def assign_cells(df: DataFrame, spec: GridSpec) -> DataFrame:
     cell, matching WaveCluster. A value outside ``[min, max]`` (null, NaN,
     ±inf) gets a null cell, which AdaWave labels noise. The cell columns
     take underscores in front (``_c0``, ...) while a name is already in
-    ``df`` (:func:`~repro.core.wavelet.cell_cols`).
+    ``df`` (:func:`cell_cols`).
     """
     cells = {}
     for j, (f, c) in enumerate(zip(spec.features, cell_cols(spec.d, df.columns))):

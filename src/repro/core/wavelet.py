@@ -24,14 +24,13 @@ table AdaWave needs to map objects back from the transformed space.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.cells import unique_rows
 
-__all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_spark", "cell_cols"]
+__all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_spark"]
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -109,18 +108,6 @@ def get_wavelet(name: str | Wavelet) -> Wavelet:
         return WAVELETS[name]
     except KeyError:
         raise ValueError(f"unknown wavelet {name!r}; available: {sorted(WAVELETS)}") from None
-
-
-def cell_cols(d: int, taken: Iterable[str] = ()) -> list[str]:
-    """Names of the grid-coordinate columns for d dimensions: ``c0..c{d-1}``,
-    with underscores in front until none is a name in ``taken``. Spark
-    resolves column names case-insensitively by default; so does the check.
-    """
-    taken = {t.lower() for t in taken}
-    prefix = "c"
-    while any(f"{prefix}{j}" in taken for j in range(d)):
-        prefix = "_" + prefix
-    return [f"{prefix}{j}" for j in range(d)]
 
 
 def _dwt_dense_1d(

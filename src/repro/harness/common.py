@@ -109,11 +109,11 @@ def run_algo(
     if algo == "adawave":
         out = adawave(to_spark(spark, X), [f"x{j}" for j in range(X.shape[1])])
         pdf = out.select("id", "cluster").toPandas().sort_values("id")
-        labels = pdf["cluster"].to_numpy(dtype=np.int64)
+        sub = pdf["cluster"].to_numpy(dtype=np.int64)
     elif algo == "kmeans":
-        labels = kmeans_spark(spark, X, k_true, seed=seed + 7)
+        sub = kmeans_spark(spark, X, k_true, seed=seed + 7)
     elif algo == "em":
-        labels = em_spark(spark, X, k_true, seed=seed + 11)
+        sub = em_spark(spark, X, k_true, seed=seed + 11)
     elif algo == "dbscan":
         em_ = None if eval_mask is None else eval_mask[sample]
         # the paper's eps grid {0.01..0.2} presumes unit-scaled data; map
@@ -124,21 +124,17 @@ def run_algo(
         Xn = (Xs - lo) / span
         eps_grid = np.arange(0.01, 0.201, 0.01) * np.sqrt(max(1.0, X.shape[1] / 2.0))
         sub, _eps, _score = dbscan_sweep(Xn, ys, eval_mask=em_, eps_grid=eps_grid)
-        labels = _extend_labels(X, sample, sub) if capped else sub
     elif algo == "skinnydip":
         sub = skinnydip(Xs)
-        labels = _extend_labels(X, sample, sub) if capped else sub
     elif algo == "stsc":
         sub = stsc(Xs, seed=seed + 31)
-        labels = _extend_labels(X, sample, sub) if capped else sub
     elif algo == "dipmeans":
         sub = dipmeans(Xs, seed=seed + 23)
-        labels = _extend_labels(X, sample, sub) if capped else sub
     elif algo == "ric":
         sub = ric(Xs, seed=seed + 41)
-        labels = _extend_labels(X, sample, sub) if capped else sub
     else:
         raise ValueError(f"unknown algorithm {algo!r}; known: {ALGORITHMS}")
+    labels = _extend_labels(X, sample, sub) if capped else sub  # uncapped: sample is every row
     seconds = time.perf_counter() - t0
 
     if assign_noise and (labels < 0).any():

@@ -13,7 +13,6 @@ the correct k; AMI scored on the non-noise objects only.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -21,20 +20,10 @@ from repro.datasets.synthetic import paper_synthetic
 from repro.harness.common import run_algo
 from repro.metrics.ami import ami
 
-__all__ = ["PAPER_FIG8_SHAPE", "run_fig8", "DEFAULT_GAMMAS"]
+__all__ = ["run_fig8", "DEFAULT_GAMMAS"]
 
 DEFAULT_GAMMAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 FIG8_ALGOS = ("adawave", "skinnydip", "dbscan", "em", "kmeans", "stsc", "dipmeans", "ric")
-
-# Qualitative anchors read off the paper (Figs 2/8 and Section VI):
-# AdaWave ~0.76 at 50 % noise and stays on top of every baseline across
-# the sweep; DBSCAN declines sharply past 20 % noise; k-means ~0.25;
-# SkinnyDip mid-pack (clusters are not unimodal per dimension); RIC ~0.
-PAPER_FIG8_SHAPE = {
-    "adawave_at_50": 0.76,
-    "kmeans_running_example": 0.25,
-    "dbscan_running_example": 0.28,
-}
 
 
 def run_fig8(

@@ -56,7 +56,7 @@ def run_table1(
     """Run the Table I experiment; returns one row per (dataset, algo).
 
     ``roadmap_n`` shrinks the 434 874-point roadmap stand-in for quick
-    runs (tests/benchmarks); None keeps the paper's size.
+    runs (tests); None keeps the paper's size.
     """
     rows = []
     for name in datasets or list(uci_like.DATASETS):

@@ -205,6 +205,16 @@ class TestAdaWaveInputContract:
         assert (yp[bad_rows] == -1).all()
         assert np.array_equal(yp[~bad_rows], ref)
 
+    def test_subnormal_span(self, spark):
+        # a positive span of fewer than `scale` subnormal ulps still has
+        # positive-width cells, so every row gets a label
+        g = np.random.default_rng(0)
+        X = np.column_stack([np.tile([0.0, 5e-324], 100), g.random(200)])
+        out = adawave(to_spark(spark, X), ["x0", "x1"])
+        pdf = out.select("id", "cluster").toPandas()
+        assert len(pdf) == 200 and pdf["id"].nunique() == 200
+        assert pdf["cluster"].notna().all()
+
     def test_empty_input(self, spark, blobs2d):
         _, _, df = blobs2d
         out, model = adawave(df.limit(0), ["x0", "x1"], keep_model=True)
@@ -240,6 +250,16 @@ class TestAdaWaveColumnNames:
             assert np.array_equal(pdf[c].to_numpy(), want[c].to_numpy())
         assert np.array_equal(pdf["cluster"].to_numpy(), _labels(adawave(df, ["x0", "x1"]))[1])
 
+    @pytest.mark.parametrize("name", ["cluster", "Cluster", "CLUSTER"])
+    def test_input_cluster_column_is_replaced(self, spark, blobs2d, name):
+        # Spark resolves names case-insensitively: any spelling of "cluster"
+        # in the input gives way to the output column
+        _, _, df = blobs2d
+        framed = df.withColumn(name, F.lit(7))
+        out = adawave(framed, ["x0", "x1"])
+        assert out.columns == [*df.columns, "cluster"]
+        assert np.array_equal(_labels(out)[1], _labels(adawave(df, ["x0", "x1"]))[1])
+
 
 class TestAdaWaveScaleSearch:
     @pytest.mark.parametrize("scale,found_scale,n_clusters", [(None, 8, 3), (4, 4, 1)])
@@ -265,7 +285,7 @@ class TestAdaWaveNoise:
         # the paper's Fig. 8 keeps AdaWave well above 0.5 through 80 % noise
         assert score > 0.5, f"gamma={gamma}: AMI={score:.3f}"
         # small-n + dense noise can fragment a cluster or leave a couple of
-        # spurious dense clumps; paper-scale runs give exactly 5 (bench)
+        # spurious dense clumps; paper-scale runs give exactly 5 (below)
         assert 3 <= model.n_clusters <= 14
 
     def test_finds_five_clusters_at_paper_scale_ish(self, spark):

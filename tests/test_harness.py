@@ -112,11 +112,11 @@ class TestFig8:
         # (k=5 exactly, stable AMI); the paper itself runs 5600
         r = run_fig8(
             spark,
-            gammas=(0.3, 0.8),
+            gammas=(0.3, 0.5, 0.8),
             algorithms=("adawave", "kmeans"),
             n_per_cluster=2000,
         )
-        assert len(r) == 4
+        assert len(r) == 6
         piv = r.pivot(index="algorithm", columns="gamma", values="ami")
         # the paper's headline: AdaWave dominates k-means on this data
         assert (piv.loc["adawave"] > piv.loc["kmeans"]).all()

@@ -9,7 +9,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities
+from repro.core.quantize import GridSpec, assign_cells, cell_cols, fit_grid, grid_densities
 from repro.datasets import uci_like
 from repro.datasets.synthetic import to_spark
 from repro.oracle import assert_equivalent
@@ -58,6 +58,9 @@ class TestFitGrid:
 
 
 class TestAssignCells:
+    def test_cell_cols(self):
+        assert cell_cols(3) == ["c0", "c1", "c2"]
+
     def test_cells_in_range(self, spark, points_df):
         spec = fit_grid(points_df, ["x0", "x1"], 16)
         out = assign_cells(points_df, spec).toPandas()
@@ -105,6 +108,7 @@ _LITERAL_CASES = {
     "negative_zero": (-0.0, 0.3, 3, _near(-0.0, 0.1, 0.2, 0.3) + [-_TINY]),
     "one_ulp_span": (1.0, _ULP1, 4, _near(1.0, _ULP1)),
     "span_overflows": (-1.5e308, 1.7e308, 8, _near(-1.5e308, -1e308, 0.0, 1e308, 1.7e308)),
+    "subnormal_span": (0.0, _TINY, 16, _near(0.0, _TINY)),  # span / scale rounds to 0.0
 }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.wavelet import WAVELETS, cell_cols, dwt_dense, dwt_spark, get_wavelet
+from repro.core.wavelet import WAVELETS, dwt_dense, dwt_spark, get_wavelet
 
 ALL_WAVELETS = sorted(WAVELETS)
 
@@ -40,9 +40,6 @@ class TestFilterBanks:
     def test_get_wavelet_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown wavelet"):
             get_wavelet("sym9")
-
-    def test_cell_cols(self):
-        assert cell_cols(3) == ["c0", "c1", "c2"]
 
 
 class TestDenseDWT:
