@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cells import find_rows
 from repro.core.components import label_components
 from repro.metrics.ami import ami
 
@@ -36,24 +37,20 @@ def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndar
     (``src`` is i, ``dst`` the neighbour)."""
     n, d = X.shape
     cells = np.floor(X / eps).astype(np.int64)
-    buckets: dict[tuple, np.ndarray] = {}
     order = np.lexsort(cells.T[::-1])
     sorted_cells = cells[order]
     # split contiguous runs of equal cells
     change = np.flatnonzero((np.diff(sorted_cells, axis=0) != 0).any(axis=1)) + 1
-    for run in np.split(order, change):
-        buckets[tuple(cells[run[0]])] = run
+    runs = np.split(order, change)
+    occupied = sorted_cells[np.r_[0, change]]
     offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), -1).reshape(-1, d)
+    # run index of each occupied cell's 3^d neighbour cells, -1 if empty
+    adjacent = find_rows(occupied, (occupied[:, None, :] + offsets).reshape(-1, d))
     eps2 = eps * eps
     out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     counts = np.zeros(n, dtype=np.int64)
-    for cell, members in buckets.items():
-        cand_list = []
-        for off in offsets:
-            b = buckets.get(tuple(np.asarray(cell) + off))
-            if b is not None:
-                cand_list.append(b)
-        cand = np.concatenate(cand_list)
+    for members, nb_runs in zip(runs, adjacent.reshape(len(runs), -1).tolist()):
+        cand = np.concatenate([runs[r] for r in nb_runs if r >= 0])
         C = X[cand]
         for i in members:
             d2 = ((C - X[i]) ** 2).sum(axis=1)
@@ -76,9 +73,13 @@ def _neighbor_lists_brute(
         block = X[s : s + chunk]
         d2 = xx[s : s + chunk, None] + xx[None, :] - 2.0 * (block @ X.T)
         near = d2 <= eps2
-        rank = np.cumsum(near, axis=1, dtype=np.int32)
-        counts.append(rank[:, -1])
-        i, j = np.nonzero(near & (rank <= _MAX_NEIGHBORS))
+        cnt = np.count_nonzero(near, axis=1)
+        counts.append(cnt)
+        big = np.flatnonzero(cnt > _MAX_NEIGHBORS)  # rows that keep their first _MAX_NEIGHBORS
+        if big.size:
+            near[big] &= np.cumsum(near[big], axis=1, dtype=np.int32) <= _MAX_NEIGHBORS
+        # row-major positions: np.nonzero(near)'s order, without its 2-D cost
+        i, j = np.divmod(np.flatnonzero(near), n)
         src.append(i + s)
         dst.append(j)
     return np.concatenate(src), np.concatenate(dst), np.concatenate(counts).astype(np.int64)

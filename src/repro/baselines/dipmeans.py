@@ -8,6 +8,10 @@ cluster is a split candidate. The candidate with the highest share is
 split in two (2-means on its members) and the process repeats until no
 candidate remains.
 
+A cluster's viewers stop being tested once it cannot beat the best share
+so far (or ``viewer_frac``): after i of nv viewers, ``hits`` multimodal,
+its share is at most (hits + nv - i) / nv, so the chosen split is exact.
+
 Distances within large clusters are subsampled (``max_viewers`` viewers,
 ``max_targets`` targets) to keep the O(|c|^2) dip stage bounded; this is
 an implementation cap, not an algorithmic change.
@@ -29,20 +33,25 @@ def _split_score(
     max_viewers: int,
     max_targets: int,
     n_boot: int,
+    beat: float,
 ) -> float:
-    """Fraction of sampled viewers whose distance vector is multimodal."""
+    """Fraction of sampled viewers whose distance vector is multimodal, or a
+    value <= ``beat`` as soon as the fraction cannot exceed ``beat``."""
     m = len(members)
     if m < 8:
         return 0.0
     viewers = members if m <= max_viewers else members[g.choice(m, max_viewers, replace=False)]
     targets = members if m <= max_targets else members[g.choice(m, max_targets, replace=False)]
     d2 = pairwise_sq_dists(viewers, targets)
+    nv = len(viewers)
     hits = 0
-    for row in np.sqrt(d2):
+    for i, row in enumerate(np.sqrt(d2)):
+        if (hits + nv - i) / nv <= beat:
+            break
         p = dip_pvalue(dip(row), row.size, n_boot=n_boot)
         if p <= alpha:
             hits += 1
-    return hits / len(viewers)
+    return hits / nv
 
 
 def dipmeans(
@@ -62,14 +71,14 @@ def dipmeans(
     labels = np.zeros(len(X), dtype=np.int64)
     k = 1
     while k < max_k:
-        scores = []
+        # the first cluster with the highest share above viewer_frac
+        best, j_best = viewer_frac, -1
         for j in range(k):
             members = X[labels == j]
-            scores.append(
-                _split_score(members, alpha, g, max_viewers, max_targets, n_boot)
-            )
-        j_best = int(np.argmax(scores))
-        if scores[j_best] <= viewer_frac:
+            score = _split_score(members, alpha, g, max_viewers, max_targets, n_boot, best)
+            if score > best:
+                best, j_best = score, j
+        if j_best < 0:
             break
         # split cluster j_best with 2-means, then refine globally
         idx = np.flatnonzero(labels == j_best)

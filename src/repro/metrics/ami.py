@@ -71,29 +71,33 @@ def expected_mutual_info(c: np.ndarray) -> float:
     a = c.sum(axis=1)
     b = c.sum(axis=0)
     n = int(c.sum())
-    lg = math.lgamma
-    log_n = math.log(n)
+    # lg[v] = lgamma(v), log_[v] = log(v) for 1 <= v <= n + 1, each computed once
+    lg = [math.inf, *map(math.lgamma, range(1, n + 2))]
+    log_ = [-math.inf, *map(math.log, range(1, n + 2))]
+    log_n = log_[n]
     emi = 0.0
     for ai in a.tolist():
+        log_ai = log_[ai]
         for bj in b.tolist():
+            log_bj = log_[bj]
             lo = max(1, ai + bj - n)
             hi = min(ai, bj)
             # constant part of the log hypergeometric pmf for this (ai, bj)
             const = (
-                lg(ai + 1)
-                + lg(bj + 1)
-                + lg(n - ai + 1)
-                + lg(n - bj + 1)
-                - lg(n + 1)
+                lg[ai + 1]
+                + lg[bj + 1]
+                + lg[n - ai + 1]
+                + lg[n - bj + 1]
+                - lg[n + 1]
             )
             for nij in range(lo, hi + 1):
                 log_p = const - (
-                    lg(nij + 1)
-                    + lg(ai - nij + 1)
-                    + lg(bj - nij + 1)
-                    + lg(n - ai - bj + nij + 1)
+                    lg[nij + 1]
+                    + lg[ai - nij + 1]
+                    + lg[bj - nij + 1]
+                    + lg[n - ai - bj + nij + 1]
                 )
-                emi += (nij / n) * (math.log(nij) + log_n - math.log(ai) - math.log(bj)) * math.exp(log_p)
+                emi += (nij / n) * (log_[nij] + log_n - log_ai - log_bj) * math.exp(log_p)
     return emi
 
 

@@ -56,11 +56,16 @@ def dip_pvalue(d: float, n: int, *, n_boot: int = 1000, seed: int = 17) -> float
     """
     if n < 4:
         return 1.0
-    ref = min(_REF_SIZES, key=lambda r: abs(np.log(r) - np.log(n)))
+    ref = _ref_size(n)
     table = _boot_table(ref, int(n_boot), int(seed))
     scaled = d * np.sqrt(n / ref)
     idx = np.searchsorted(table, scaled, side="left")
     return float((table.size - idx) / table.size)
+
+
+@lru_cache(maxsize=1024)
+def _ref_size(n: int) -> int:  # nearest in log scale, first on a tie
+    return min(_REF_SIZES, key=lambda r: abs(np.log(r) - np.log(n)))
 
 
 @lru_cache(maxsize=16)

@@ -69,7 +69,55 @@ class TestMutualInfo:
             assert mutual_info(contingency(a, b)) >= -1e-12
 
 
+def _emi_tables():
+    """24 contingency tables: 1xk and kx1, zero rows and columns, n from 1 to 3797."""
+    g = np.random.default_rng(2024)
+    shapes = [(1, 1), (1, 4), (4, 1), (1, 7), (2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (5, 3),
+              (4, 4), (6, 2), (2, 6), (5, 5), (7, 3), (3, 7), (8, 8), (1, 3), (4, 6), (6, 4),
+              (2, 2), (3, 4), (5, 2), (10, 3)]
+    highs = [3, 10, 40, 120, 300]
+    for i, s in enumerate(shapes):
+        c = g.integers(0, highs[i % len(highs)], s)
+        c[0, 0] += 1  # n >= 1
+        yield c
+
+
+# repr of expected_mutual_info on _emi_tables(), computed term by term with
+# math.lgamma and math.log before they came from per-call tables
+_EMI_PINNED = [
+    "0.0",
+    "-1.6653345369377375e-16",
+    "9.953723669052562e-17",
+    "3.6982680017606914e-16",
+    "0.0009836099699856067",
+    "0.1851175768338838",
+    "0.051694687981486465",
+    "0.011860999975614213",
+    "0.0041520821969100894",
+    "0.0019943608602187917",
+    "0.3792672327609253",
+    "0.07140767777961628",
+    "0.011717532640709617",
+    "0.005266147370641382",
+    "0.0031475949588465326",
+    "0.4023311133827928",
+    "0.0953137792700311",
+    "1.5284180038657104e-30",
+    "0.0063023994934288605",
+    "0.0019790415869474533",
+    "0.12730283365896225",
+    "0.06679151333259722",
+    "0.006973081235840701",
+    "0.005442143124577617",
+]
+
+
 class TestExpectedMI:
+    def test_pinned_exact(self):
+        tables = list(_emi_tables())
+        assert len(tables) == len(_EMI_PINNED)
+        assert [repr(expected_mutual_info(c)) for c in tables] == _EMI_PINNED
+
     def test_emi_between_zero_and_entropy(self):
         g = np.random.default_rng(1)
         a = g.integers(0, 3, 40)

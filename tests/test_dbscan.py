@@ -4,7 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.dbscan import _neighbor_lists_brute, _neighbor_lists_grid, dbscan, dbscan_sweep
+from repro.baselines.dbscan import (
+    _MAX_NEIGHBORS,
+    _neighbor_lists_brute,
+    _neighbor_lists_grid,
+    dbscan,
+    dbscan_sweep,
+)
 from repro.metrics.ami import ami
 
 
@@ -18,6 +24,70 @@ def blobs():
 
 def _pairs(src: np.ndarray, dst: np.ndarray) -> set[tuple[int, int]]:
     return set(zip(src.tolist(), dst.tolist()))
+
+
+def _grid_oracle(X: np.ndarray, eps: float):
+    """The grid path as it was with a dict of tuple-keyed cell buckets."""
+    n, d = X.shape
+    cells = np.floor(X / eps).astype(np.int64)
+    buckets: dict[tuple, np.ndarray] = {}
+    order = np.lexsort(cells.T[::-1])
+    sorted_cells = cells[order]
+    change = np.flatnonzero((np.diff(sorted_cells, axis=0) != 0).any(axis=1)) + 1
+    for run in np.split(order, change):
+        buckets[tuple(cells[run[0]])] = run
+    offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), -1).reshape(-1, d)
+    out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    counts = np.zeros(n, dtype=np.int64)
+    for cell, members in buckets.items():
+        cand_list = []
+        for off in offsets:
+            b = buckets.get(tuple(np.asarray(cell) + off))
+            if b is not None:
+                cand_list.append(b)
+        cand = np.concatenate(cand_list)
+        C = X[cand]
+        for i in members:
+            nb = cand[((C - X[i]) ** 2).sum(axis=1) <= eps * eps]
+            counts[i] = nb.size
+            out[i] = nb[:_MAX_NEIGHBORS]
+    return np.repeat(np.arange(n), [a.size for a in out]), np.concatenate(out), counts
+
+
+def _brute_oracle(X: np.ndarray, eps: float, chunk: int = 2048):
+    """The brute path as it was, with the rank mask applied to every chunk."""
+    n = len(X)
+    xx = (X * X).sum(axis=1)
+    src, dst, counts = [], [], []
+    for s in range(0, n, chunk):
+        block = X[s : s + chunk]
+        near = xx[s : s + chunk, None] + xx[None, :] - 2.0 * (block @ X.T) <= eps * eps
+        rank = np.cumsum(near, axis=1, dtype=np.int32)
+        counts.append(rank[:, -1])
+        i, j = np.nonzero(near & (rank <= _MAX_NEIGHBORS))
+        src.append(i + s)
+        dst.append(j)
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(counts).astype(np.int64)
+
+
+def _assert_same_lists(got, want):
+    for g_, w in zip(got, want):
+        assert g_.dtype == w.dtype and np.array_equal(g_, w)
+
+
+def _grid_cases():
+    """(kind, X, eps): random, tied, on cell edges and truncated, at d = 1, 2, 3."""
+    g = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        cases = [
+            ("random", g.random((300, d)), 0.1),
+            ("tied", g.integers(0, 5, (300, d)) * 0.05, 0.05),
+            # coordinates that are exact multiples of eps sit on cell edges
+            ("edges", g.integers(-6, 6, (250, d)) * 0.25, 0.25),
+            ("truncated", np.vstack([g.normal(0.5, 0.02, (200, d)), g.random((100, d))]), 0.1),
+        ]
+        for kind, X, eps in cases:
+            yield pytest.param(kind, X, eps, id=f"{kind}-{d}d")
 
 
 class TestNeighborLists:
@@ -56,6 +126,28 @@ class TestNeighborLists:
         # and the clump still comes out as ONE cluster despite truncation
         labels = dbscan(X, 0.2, 8)
         assert (labels == 0).all()
+
+
+class TestNeighborListsExact:
+    """Both paths give the old (src, dst, counts) arrays exactly, order included."""
+
+    @pytest.mark.parametrize("kind,X,eps", list(_grid_cases()))
+    def test_grid_matches_dict_oracle(self, kind, X, eps):
+        want = _grid_oracle(X, eps)
+        if kind == "truncated":
+            assert want[2].max() > _MAX_NEIGHBORS
+        _assert_same_lists(_neighbor_lists_grid(X, eps), want)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_brute_matches_rank_oracle(self, d):
+        g = np.random.default_rng(12)
+        # chunks of 100 rows: a dense clump only (every list truncated at
+        # 64), clump and sparse rows, sparse rows only (none above 64)
+        X = np.vstack([g.normal(0.0, 0.01, (150, d)), 10.0 + 5.0 * g.random((150, d))])
+        want = _brute_oracle(X, 0.5, chunk=100)
+        big = want[2] > _MAX_NEIGHBORS
+        assert big[:150].all() and not big[150:].any()
+        _assert_same_lists(_neighbor_lists_brute(X, 0.5, chunk=100), want)
 
 
 class TestDBSCAN:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.stats.dip as dipmod
 from repro.stats.dip import _dip_full, dip, dip_pvalue, diptest
 
 
@@ -44,6 +45,43 @@ _PINNED = [
     ("bimodal", 1000, 0.12871830724287023, 529, 952),
     ("ties", 1000, 0.0885, 323, 500),
 ]
+
+
+# dip_pvalue(c / sqrt(n), n, n_boot=...) for c in _P_SCALES, as computed
+# when each call chose its reference size afresh; floats written with repr.
+# Sizes 4..100 use the n = 50 table, 101..447 the 200 one, 448..2000 the
+# 1000 one and 2001.. the 4000 one.
+_P_SCALES = (0.3, 0.45, 0.6, 1.0)
+_P_PINNED = {
+    (500, 4): (0.724, 0.13, 0.006, 0.0),
+    (500, 99): (0.724, 0.13, 0.006, 0.0),
+    (500, 100): (0.724, 0.13, 0.006, 0.0),
+    (500, 101): (0.802, 0.178, 0.002, 0.0),
+    (500, 447): (0.802, 0.178, 0.002, 0.0),
+    (500, 448): (0.846, 0.184, 0.01, 0.0),
+    (500, 1999): (0.846, 0.184, 0.01, 0.0),
+    (500, 2000): (0.846, 0.184, 0.01, 0.0),
+    (1000, 4): (0.732, 0.117, 0.003, 0.0),
+    (1000, 99): (0.732, 0.117, 0.003, 0.0),
+    (1000, 100): (0.732, 0.117, 0.003, 0.0),
+    (1000, 101): (0.795, 0.161, 0.003, 0.0),
+    (1000, 447): (0.795, 0.161, 0.003, 0.0),
+    (1000, 448): (0.85, 0.169, 0.012, 0.0),
+    (1000, 1999): (0.85, 0.169, 0.012, 0.0),
+    (1000, 2000): (0.85, 0.169, 0.012, 0.0),
+}
+# the same for sizes that use the 4000-point table, with _boot_table
+# replaced by _stub_table: the real tables take ~7 s to build
+_P_PINNED_STUB = {
+    (500, 2001): (0.764, 0.638, 0.54, 0.198),
+    (500, 5000): (0.764, 0.638, 0.54, 0.198),
+    (1000, 2001): (0.752, 0.621, 0.491, 0.153),
+    (1000, 5000): (0.752, 0.621, 0.491, 0.153),
+}
+
+
+def _stub_table(n: int, n_boot: int, seed: int) -> np.ndarray:
+    return np.sort(np.random.default_rng(seed + n + n_boot).random(n_boot)) * (1.2 / np.sqrt(n))
 
 
 class TestDipStatistic:
@@ -154,6 +192,17 @@ class TestDipPValue:
 
     def test_tiny_sample_p_is_one(self):
         assert dip_pvalue(0.2, 3) == 1.0
+
+    @pytest.mark.parametrize("n_boot,n", list(_P_PINNED))
+    def test_pinned_exact(self, n_boot, n):
+        got = tuple(dip_pvalue(c / np.sqrt(n), n, n_boot=n_boot) for c in _P_SCALES)
+        assert list(map(repr, got)) == list(map(repr, _P_PINNED[n_boot, n]))
+
+    @pytest.mark.parametrize("n_boot,n", list(_P_PINNED_STUB))
+    def test_pinned_exact_reference_size(self, n_boot, n, monkeypatch):
+        monkeypatch.setattr(dipmod, "_boot_table", _stub_table)
+        got = tuple(dip_pvalue(c / np.sqrt(n), n, n_boot=n_boot) for c in _P_SCALES)
+        assert list(map(repr, got)) == list(map(repr, _P_PINNED_STUB[n_boot, n]))
 
 
 class TestModalInterval:

@@ -1,13 +1,18 @@
 """Tests for the remaining from-scratch baselines: STSC, DipMeans, RIC."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.baselines.dipmeans import dipmeans
+import repro.baselines.dipmeans as dipmeans_mod
+from repro.baselines.dipmeans import _split_score, dipmeans
 from repro.baselines.ric import ric
 from repro.baselines.stsc import stsc
+from repro.datasets import uci_like
 from repro.metrics.ami import ami
+from repro.stats.dip import dip
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,70 @@ class TestDipMeans:
         X, _ = blobs3
         labels = dipmeans(X, max_k=2)
         assert len(np.unique(labels)) <= 2
+
+
+# sha256 prefix of dipmeans' labels (as little-endian int64) and the cluster
+# sizes, as computed when every viewer of every cluster was dip-tested
+_DIPMEANS_PINNED = {
+    "wholesale": ("3e3ba5c72632e3cc", [225, 98, 117]),
+    "dermatology": ("3f6b7c8b6a4066e6", [20, 49, 112, 61, 52, 72]),
+    "iris": ("bc5509eebe041125", [100, 50]),
+    "motor": ("4c27ad029724c01b", [31, 31, 32]),
+    "blobs3": ("c8a0d42e83475648", [150, 150, 150]),
+}
+
+
+def _digest(labels: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(labels, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+class TestDipMeansExact:
+    @pytest.mark.parametrize("name", list(_DIPMEANS_PINNED))
+    def test_labels_pinned(self, name, blobs3):
+        if name == "blobs3":
+            labels = dipmeans(blobs3[0])
+        else:  # as the Table I runner calls it
+            labels = dipmeans(uci_like.make(name)[0], seed=23)
+        assert (_digest(labels), np.bincount(labels).tolist()) == _DIPMEANS_PINNED[name]
+
+    def test_split_score_pruned_and_exact(self, monkeypatch):
+        g = np.random.default_rng(5)
+        members = np.vstack([g.normal(0, 1, (120, 2)), g.normal(3.0, 1, (120, 2))])
+        calls = []
+        monkeypatch.setattr(dipmeans_mod, "dip", lambda row: calls.append(1) or dip(row))
+
+        def score(beat):
+            calls.clear()
+            rng = np.random.default_rng(9)
+            s = _split_score(members, 0.01, rng, 100, 500, 500, beat)
+            return s, len(calls), rng.random()
+
+        exact, n_exact, after = score(0.65)  # one hit below the share: no stop
+        assert repr(exact) == "0.66" and n_exact == 100
+        assert score(0.66)[0] <= 0.66  # a share equal to beat cannot win
+        pruned, n_pruned, after_pruned = score(0.7)
+        assert pruned <= 0.7 and n_pruned < 100
+        assert after_pruned == after  # the viewer draws happen either way
+
+    def test_tie_splits_first_cluster(self, monkeypatch):
+        # equal shares: the lowest label is split, as np.argmax would pick
+        g = np.random.default_rng(6)
+        X = np.vstack([g.normal(0, 0.1, (40, 2)), g.normal(5, 0.1, (60, 2))])
+        shares = iter([0.5, 0.5, 0.5])
+        monkeypatch.setattr(dipmeans_mod, "_split_score", lambda *a: next(shares))
+        calls = []
+        real = dipmeans_mod.kmeans_np
+
+        def spy(Xs, k, seed):
+            out = real(Xs, k, seed=seed)
+            calls.append((seed, len(Xs), out[0].copy()))  # dipmeans relabels in place
+            return out
+
+        monkeypatch.setattr(dipmeans_mod, "kmeans_np", spy)
+        dipmeans(X, max_k=3, seed=23)
+        refined = [lab for seed, n, lab in calls if seed == 23 and n == len(X)][0]
+        split_sizes = [n for seed, n, _ in calls if seed == 23 + 2]
+        assert split_sizes == [int((refined == 0).sum())] != [int((refined == 1).sum())]
 
 
 class TestRIC:
