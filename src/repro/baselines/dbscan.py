@@ -14,6 +14,8 @@ eps in {0.01..0.2}, best AMI wins.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 import numpy as np
 
 from repro.core.cells import find_rows
@@ -29,6 +31,13 @@ __all__ = ["dbscan", "dbscan_sweep"]
 # keep dense regions connected regardless (bounds memory to O(n * K)
 # instead of O(sum of neighbourhood sizes), which explodes in dense blobs).
 _MAX_NEIGHBORS = 64
+
+# The brute path's sweep builds the lists of as many eps values from one
+# pass of distances as fit this many list entries at _MAX_NEIGHBORS per
+# point (64 MB of src/dst): the whole 20-value grid up to n = 3276.
+# Lists built past the sweep's early stop are wasted, and at large eps they
+# cost more than a distance pass, so a batch is not the whole grid at any n.
+_SWEEP_ENTRIES = 1 << 22
 
 
 def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -61,39 +70,55 @@ def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndar
 
 
 def _neighbor_lists_brute(
-    X: np.ndarray, eps: float, chunk: int = 2048
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Same as the grid version, by chunked brute force; each list is in
-    increasing index order."""
+    X: np.ndarray, eps_values: Sequence[float], chunk: int = 2048
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Same as the grid version, by chunked brute force, for each of
+    ``eps_values`` from one pass of distances; each list is in increasing
+    index order."""
     n = len(X)
-    eps2 = eps * eps
     xx = (X * X).sum(axis=1)
-    src, dst, counts = [], [], []
+    parts = [([], [], []) for _ in eps_values]
+    # one set of chunk-sized buffers for the whole pass: fresh ones would be
+    # page-faulted in again for every chunk and every eps
+    rows = min(chunk, n)
+    prod, dist, near_buf = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
     for s in range(0, n, chunk):
         block = X[s : s + chunk]
-        d2 = xx[s : s + chunk, None] + xx[None, :] - 2.0 * (block @ X.T)
-        near = d2 <= eps2
-        cnt = np.count_nonzero(near, axis=1)
-        counts.append(cnt)
-        big = np.flatnonzero(cnt > _MAX_NEIGHBORS)  # rows that keep their first _MAX_NEIGHBORS
-        if big.size:
-            near[big] &= np.cumsum(near[big], axis=1, dtype=np.int32) <= _MAX_NEIGHBORS
-        # row-major positions: np.nonzero(near)'s order, without its 2-D cost
-        i, j = np.divmod(np.flatnonzero(near), n)
-        src.append(i + s)
-        dst.append(j)
-    return np.concatenate(src), np.concatenate(dst), np.concatenate(counts).astype(np.int64)
+        r = len(block)
+        # xx_s + xx - 2 (block @ X.T), evaluated in that order
+        twice = np.matmul(block, X.T, out=prod[:r])
+        twice *= 2.0
+        d2 = np.add(xx[s : s + chunk, None], xx[None, :], out=dist[:r])
+        d2 -= twice
+        for eps, (src, dst, counts) in zip(eps_values, parts):
+            near = np.less_equal(d2, eps * eps, out=near_buf[:r])
+            cnt = np.count_nonzero(near, axis=1)
+            counts.append(cnt)
+            # row-major positions: np.nonzero(near)'s order, without its 2-D cost
+            pos = np.flatnonzero(near)
+            big = cnt > _MAX_NEIGHBORS
+            if big.any():
+                # a big row's positions past its first _MAX_NEIGHBORS are
+                # [end - cnt + _MAX_NEIGHBORS, end): mark each range's two
+                # edges, and the running sum is 1 inside a range
+                end = np.cumsum(cnt)[big]
+                edge = np.zeros(pos.size + 1, dtype=np.int8)
+                edge[end - cnt[big] + _MAX_NEIGHBORS] = 1
+                edge[end] = -1
+                pos = pos[np.cumsum(edge[:-1], dtype=np.int8) == 0]
+            i, j = np.divmod(pos, n)
+            src.append(i + s)
+            dst.append(j)
+    return [
+        (np.concatenate(src), np.concatenate(dst), np.concatenate(counts).astype(np.int64))
+        for src, dst, counts in parts
+    ]
 
 
-def dbscan(X: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """Labels in 0..k-1, noise = -1. Deterministic."""
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    src, dst, counts = (
-        _neighbor_lists_grid(X, eps) if d <= 3 else _neighbor_lists_brute(X, eps)
-    )
+def _label(
+    n: int, src: np.ndarray, dst: np.ndarray, counts: np.ndarray, min_pts: int
+) -> np.ndarray:
+    """DBSCAN labels from the neighbour lists and exact neighbour counts."""
     core = counts >= min_pts
     to_core = core[dst]
 
@@ -108,6 +133,31 @@ def dbscan(X: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     first = np.unique(bsrc, return_index=True)[1]
     labels[bsrc[first]] = labels[bdst[first]]
     return labels
+
+
+def dbscan(X: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Labels in 0..k-1, noise = -1. Deterministic."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    lists = _neighbor_lists_grid(X, eps) if d <= 3 else _neighbor_lists_brute(X, [eps])[0]
+    return _label(n, *lists, min_pts)
+
+
+def _sweep_labels(X: np.ndarray, eps_values: list[float], min_pts: int) -> Iterator[np.ndarray]:
+    """``dbscan(X, eps, min_pts)`` for each of ``eps_values`` in turn. On the
+    brute path a batch of eps values shares one pass of distances, and a
+    batch is built only when the caller asks for its first labels."""
+    n, d = X.shape
+    if d <= 3 or n == 0:
+        for eps in eps_values:
+            yield dbscan(X, eps, min_pts)
+        return
+    step = max(1, _SWEEP_ENTRIES // (n * _MAX_NEIGHBORS))
+    for b in range(0, len(eps_values), step):
+        for lists in _neighbor_lists_brute(X, eps_values[b : b + step]):
+            yield _label(n, *lists, min_pts)
 
 
 def dbscan_sweep(
@@ -128,12 +178,15 @@ def dbscan_sweep(
         eps_grid = np.arange(0.01, 0.201, 0.01)
     if eval_mask is None:
         eval_mask = np.ones(len(X), dtype=bool)
+    eps_values = np.sort(np.asarray(eps_grid, dtype=np.float64)).tolist()
+    if not eps_values:
+        raise ValueError("eps_grid is empty")
+    X = np.asarray(X, dtype=np.float64)
     best: tuple[np.ndarray, float, float] | None = None
-    for eps in np.sort(np.asarray(eps_grid, dtype=np.float64)):
-        lab = dbscan(X, float(eps), min_pts)
+    for eps, lab in zip(eps_values, _sweep_labels(X, eps_values, min_pts)):
         score = ami(labels_true[eval_mask], lab[eval_mask])
         if best is None or score > best[2]:
-            best = (lab, float(eps), score)
+            best = (lab, eps, score)
         # DBSCAN is monotone in eps towards one giant component: once a
         # single cluster swallows nearly everything, larger eps can only
         # make it worse (and each run gets drastically more expensive, as
@@ -143,5 +196,4 @@ def dbscan_sweep(
             top = np.bincount(lab[clustered]).max()
             if top >= 0.95 * len(X):
                 break
-    assert best is not None
     return best

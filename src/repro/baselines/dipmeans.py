@@ -8,15 +8,20 @@ cluster is a split candidate. The candidate with the highest share is
 split in two (2-means on its members) and the process repeats until no
 candidate remains.
 
-A cluster's viewers stop being tested once it cannot beat the best share
-so far (or ``viewer_frac``): after i of nv viewers, ``hits`` multimodal,
-its share is at most (hits + nv - i) / nv, so the chosen split is exact.
+The clusters' viewers are dip-tested as a race (after Maron & Moore's
+Hoeffding races, NIPS 1993, with certain bounds instead of probable
+ones): after i of nv viewers, ``hits`` multimodal, a cluster's final
+share lies in [hits/nv, (hits + nv - i)/nv], and a cluster leaves the
+race once that interval shows it cannot be the first highest share above
+``viewer_frac``. The chosen split is exactly that of testing every viewer.
 
 Distances within large clusters are subsampled (``max_viewers`` viewers,
 ``max_targets`` targets) to keep the O(|c|^2) dip stage bounded; this is
 an implementation cap, not an algorithmic change.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -26,32 +31,76 @@ from repro.stats.dip import dip_pvalue, dip
 __all__ = ["dipmeans"]
 
 
-def _split_score(
-    members: np.ndarray,
+def _race(nv: list[int], hit: Callable[[int, int], bool], viewer_frac: float) -> int:
+    """The first j with the highest share ``hits_j / nv[j]`` above
+    ``viewer_frac``, or -1 when no share is above it.
+
+    ``hit(j, i)`` tells whether viewer i of cluster j is a hit; each
+    cluster's viewers are asked for in order 0, 1, ..., and only until
+    the answer is certain. Float division is monotone, so for a fixed nv
+    the bounds on the share are floats that bracket the final one.
+    """
+    k = len(nv)
+    tested, hits = [0] * k, [0] * k
+    live = list(range(k))  # in label order
+    while True:
+        lo = [h / n for h, n in zip(hits, nv)]
+        hi = [(h + n - i) / n for h, n, i in zip(hits, nv, tested)]
+        # the best lower bound, lowest label on a tie: a cluster that can
+        # at most equal it loses to it unless its own label is lower
+        b = max(live, key=lo.__getitem__)
+        live = [
+            j for j in live
+            if hi[j] > viewer_frac and (hi[j] > lo[b] or (hi[j] == lo[b] and j <= b))
+        ]
+        if not live:
+            return -1
+        if len(live) == 1 and lo[live[0]] > viewer_frac:
+            return live[0]
+        # of two live clusters at most one is fully tested
+        j = max((j for j in live if tested[j] < nv[j]), key=hi.__getitem__)
+        if hit(j, tested[j]):
+            hits[j] += 1
+        tested[j] += 1
+
+
+def _split_candidate(
+    X: np.ndarray,
+    labels: np.ndarray,
+    k: int,
     alpha: float,
+    viewer_frac: float,
     g: np.random.Generator,
     max_viewers: int,
     max_targets: int,
     n_boot: int,
-    beat: float,
-) -> float:
-    """Fraction of sampled viewers whose distance vector is multimodal, or a
-    value <= ``beat`` as soon as the fraction cannot exceed ``beat``."""
-    m = len(members)
-    if m < 8:
-        return 0.0
-    viewers = members if m <= max_viewers else members[g.choice(m, max_viewers, replace=False)]
-    targets = members if m <= max_targets else members[g.choice(m, max_targets, replace=False)]
-    d2 = pairwise_sq_dists(viewers, targets)
-    nv = len(viewers)
-    hits = 0
-    for i, row in enumerate(np.sqrt(d2)):
-        if (hits + nv - i) / nv <= beat:
-            break
-        p = dip_pvalue(dip(row), row.size, n_boot=n_boot)
-        if p <= alpha:
-            hits += 1
-    return hits / nv
+) -> int:
+    """The cluster DipMeans splits next (the first with the highest share of
+    multimodal viewers above ``viewer_frac``), or -1 for none."""
+    # every cluster's viewers and targets are drawn, in label order, before
+    # any test, so the stream of g does not depend on what the race skips
+    draws: list[tuple[np.ndarray, np.ndarray] | None] = []
+    for j in range(k):
+        members = X[labels == j]
+        m = len(members)
+        if m < 8:  # share 0: one viewer that is never a hit
+            draws.append(None)
+            continue
+        viewers = members if m <= max_viewers else members[g.choice(m, max_viewers, replace=False)]
+        targets = members if m <= max_targets else members[g.choice(m, max_targets, replace=False)]
+        draws.append((viewers, targets))
+    rows: list[np.ndarray | None] = [None] * k  # viewer-to-target distances
+
+    def hit(j: int, i: int) -> bool:
+        if draws[j] is None:
+            return False
+        if rows[j] is None:
+            rows[j] = np.sqrt(pairwise_sq_dists(*draws[j]))
+        row = rows[j][i]
+        return dip_pvalue(dip(row), row.size, n_boot=n_boot) <= alpha
+
+    nv = [1 if dr is None else len(dr[0]) for dr in draws]
+    return _race(nv, hit, viewer_frac)
 
 
 def dipmeans(
@@ -71,13 +120,9 @@ def dipmeans(
     labels = np.zeros(len(X), dtype=np.int64)
     k = 1
     while k < max_k:
-        # the first cluster with the highest share above viewer_frac
-        best, j_best = viewer_frac, -1
-        for j in range(k):
-            members = X[labels == j]
-            score = _split_score(members, alpha, g, max_viewers, max_targets, n_boot, best)
-            if score > best:
-                best, j_best = score, j
+        j_best = _split_candidate(
+            X, labels, k, alpha, viewer_frac, g, max_viewers, max_targets, n_boot
+        )
         if j_best < 0:
             break
         # split cluster j_best with 2-means, then refine globally

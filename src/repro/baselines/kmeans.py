@@ -20,9 +20,16 @@ __all__ = ["kmeans_spark"]
 
 
 def _features_df(spark: SparkSession, X: np.ndarray):
-    """``to_spark(spark, X)`` plus a ``features`` vector of x0..x{d-1}."""
+    """``to_spark(spark, X)`` in one partition, plus a ``features`` vector of
+    x0..x{d-1}.
+
+    MLlib's k-means|| and GMM initialisations sample per partition, and
+    their sums are merged in the order tasks finish, so with the host's
+    ``defaultParallelism`` partitions the labels depend on the core count.
+    One partition, in id order, makes them a function of the data.
+    """
     cols = [F.col(f"x{j}") for j in range(X.shape[1])]
-    return to_spark(spark, X).withColumn("features", array_to_vector(F.array(*cols)))
+    return to_spark(spark, X).coalesce(1).withColumn("features", array_to_vector(F.array(*cols)))
 
 
 def kmeans_spark(spark: SparkSession, X: np.ndarray, k: int, *, seed: int = 7) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.baselines.dbscan as dbscan_mod
 from repro.baselines.dbscan import (
     _MAX_NEIGHBORS,
     _neighbor_lists_brute,
@@ -96,7 +97,7 @@ class TestNeighborLists:
         X = g.random((300, 2))
         eps = 0.07  # sparse enough that no list hits the truncation cap
         *grid, gc = _neighbor_lists_grid(X, eps)
-        *brute, bc = _neighbor_lists_brute(X, eps)
+        *brute, bc = _neighbor_lists_brute(X, [eps])[0]
         assert np.array_equal(gc, bc)
         assert _pairs(*grid) == _pairs(*brute)
 
@@ -105,7 +106,7 @@ class TestNeighborLists:
         X = g.random((200, 3))
         eps = 0.15
         *grid, gc = _neighbor_lists_grid(X, eps)
-        *brute, bc = _neighbor_lists_brute(X, eps)
+        *brute, bc = _neighbor_lists_brute(X, [eps])[0]
         assert np.array_equal(gc, bc)
         assert _pairs(*grid) == _pairs(*brute)
 
@@ -147,7 +148,7 @@ class TestNeighborListsExact:
         want = _brute_oracle(X, 0.5, chunk=100)
         big = want[2] > _MAX_NEIGHBORS
         assert big[:150].all() and not big[150:].any()
-        _assert_same_lists(_neighbor_lists_brute(X, 0.5, chunk=100), want)
+        _assert_same_lists(_neighbor_lists_brute(X, [0.5], chunk=100)[0], want)
 
 
 class TestDBSCAN:
@@ -230,3 +231,69 @@ class TestSweep:
         X, y = blobs
         _, eps, _ = dbscan_sweep(X, y, eps_grid=np.array([0.05]))
         assert eps == 0.05
+
+    def test_empty_grid_raises(self, blobs):
+        X, y = blobs
+        with pytest.raises(ValueError, match="empty"):
+            dbscan_sweep(X, y, eps_grid=np.array([]))
+
+
+def _sweep_oracle(X, labels_true, eps_grid, min_pts=8):
+    """The sweep as one ``dbscan`` call per eps, in order, with the early stop;
+    also returns how many eps values it labelled."""
+    best, ran = None, 0
+    for eps in np.sort(np.asarray(eps_grid, dtype=np.float64)):
+        lab = dbscan(X, float(eps), min_pts)
+        ran += 1
+        score = ami(labels_true, lab)
+        if best is None or score > best[2]:
+            best = (lab, float(eps), score)
+        clustered = lab >= 0
+        if clustered.any() and np.bincount(lab[clustered]).max() >= 0.95 * len(X):
+            break
+    return best, ran
+
+
+def _brute_sweep_cases():
+    """(name, X, y, eps grid) on the brute path (d > 3), unit-scaled as run_algo does."""
+    g = np.random.default_rng(13)
+    d = 5
+    grid = np.arange(0.01, 0.201, 0.01) * np.sqrt(d / 2.0)
+    # three blobs in noise: the sweep runs to the end of the grid
+    X = np.vstack([g.normal(c, 0.03, (100, d)) for c in (0.2, 0.5, 0.8)] + [g.random((60, d))])
+    y = np.repeat([0, 1, 2, 3], [100, 100, 100, 60])
+    yield "blobs", X, y, grid[:8]
+    # one blob that swallows nearly every point part-way through the grid
+    X = np.vstack([g.normal(0.5, 0.05, (290, d)), g.random((10, d))])
+    yield "stops-early", X, np.repeat([0, 1], [290, 10]), grid
+
+
+class TestSweepBatched:
+    """The brute path's batched sweep against one ``dbscan`` call per eps."""
+
+    @pytest.mark.parametrize("per_batch", [1, 3, 20])
+    @pytest.mark.parametrize("name,X,y,grid", list(_brute_sweep_cases()))
+    def test_matches_per_eps_loop(self, name, X, y, grid, per_batch, monkeypatch):
+        monkeypatch.setattr(dbscan_mod, "_SWEEP_ENTRIES", per_batch * len(X) * _MAX_NEIGHBORS)
+        real = dbscan_mod._neighbor_lists_brute
+        passes = []
+
+        def spy(X_, eps_values, chunk=2048):
+            passes.append(len(eps_values))
+            return real(X_, eps_values, chunk=chunk)
+
+        monkeypatch.setattr(dbscan_mod, "_neighbor_lists_brute", spy)
+        want, ran = _sweep_oracle(X, y, grid)
+        assert (ran < len(grid)) == (name == "stops-early")
+        passes.clear()
+        got = dbscan_sweep(X, y, eps_grid=grid)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        # one distance pass per batch, and no batch past the early stop
+        assert passes == [min(per_batch, len(grid) - b) for b in range(0, ran, per_batch)]
+
+    @pytest.mark.parametrize("name,X,y,grid", list(_brute_sweep_cases()))
+    def test_lists_span_chunks(self, name, X, y, grid):
+        # several chunks: each eps's lists equal those of its own pass
+        got = _neighbor_lists_brute(X, grid.tolist(), chunk=64)
+        for eps, lists in zip(grid.tolist(), got):
+            _assert_same_lists(lists, _brute_oracle(X, eps, chunk=64))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.baselines.kmeans as kmeans_mod
 from repro.baselines.em import em_spark
 from repro.baselines.kmeans import kmeans_spark
 from repro.metrics.ami import ami
@@ -54,3 +55,31 @@ class TestEMSpark:
     def test_shape(self, spark, blobs):
         X, _ = blobs
         assert em_spark(spark, X, 3).shape == (len(X),)
+
+
+def _sliced(p: int):
+    """A ``to_spark`` whose frame holds the rows in p contiguous partitions."""
+
+    def to_spark(spark, X):
+        rows = [(i, *map(float, r)) for i, r in enumerate(X)]
+        schema = "id long, " + ", ".join(f"x{j} double" for j in range(X.shape[1]))
+        rdd = spark.sparkContext.parallelize(rows, p)
+        return spark.createDataFrame(rdd, schema).localCheckpoint()
+
+    return to_spark
+
+
+class TestPartitioning:
+    """MLlib labels are a function of the rows, not of how they are partitioned."""
+
+    @pytest.mark.parametrize("fit", [kmeans_spark, em_spark], ids=["kmeans", "em"])
+    def test_labels_independent_of_partitions(self, spark, fit, monkeypatch):
+        g = np.random.default_rng(1)
+        X = np.vstack([g.normal(c, 1, (300, 2)) for c in [(0, 0), (2.5, 2.5), (0, 4)]])
+        labels = {}
+        for p in (1, 2, 4, 16):
+            monkeypatch.setattr(kmeans_mod, "to_spark", _sliced(p))
+            assert kmeans_mod.to_spark(spark, X).rdd.getNumPartitions() == p
+            labels[p] = fit(spark, X, 3)
+        for p in (2, 4, 16):
+            assert np.array_equal(labels[p], labels[1]), p

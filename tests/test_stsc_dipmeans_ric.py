@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import repro.baselines.dipmeans as dipmeans_mod
-from repro.baselines.dipmeans import _split_score, dipmeans
+from repro.baselines.api import kmeans_np, pairwise_sq_dists
+from repro.baselines.dipmeans import dipmeans
 from repro.baselines.ric import ric
 from repro.baselines.stsc import stsc
 from repro.datasets import uci_like
@@ -102,31 +103,27 @@ class TestDipMeansExact:
             labels = dipmeans(uci_like.make(name)[0], seed=23)
         assert (_digest(labels), np.bincount(labels).tolist()) == _DIPMEANS_PINNED[name]
 
-    def test_split_score_pruned_and_exact(self, monkeypatch):
+    def test_draws_before_tests(self):
+        # however much the race skips, g ends where drawing every cluster's
+        # viewers and then its targets, in label order, leaves it
         g = np.random.default_rng(5)
-        members = np.vstack([g.normal(0, 1, (120, 2)), g.normal(3.0, 1, (120, 2))])
-        calls = []
-        monkeypatch.setattr(dipmeans_mod, "dip", lambda row: calls.append(1) or dip(row))
-
-        def score(beat):
-            calls.clear()
+        sizes = [150, 700, 5]
+        X = np.vstack([g.normal(c, 1, (m, 2)) for c, m in zip([0, 3, 9], sizes)])
+        labels = np.repeat([0, 1, 2], sizes)
+        for frac in (0.01, 0.99):  # one winner early, or no winner after more tests
             rng = np.random.default_rng(9)
-            s = _split_score(members, 0.01, rng, 100, 500, 500, beat)
-            return s, len(calls), rng.random()
-
-        exact, n_exact, after = score(0.65)  # one hit below the share: no stop
-        assert repr(exact) == "0.66" and n_exact == 100
-        assert score(0.66)[0] <= 0.66  # a share equal to beat cannot win
-        pruned, n_pruned, after_pruned = score(0.7)
-        assert pruned <= 0.7 and n_pruned < 100
-        assert after_pruned == after  # the viewer draws happen either way
+            dipmeans_mod._split_candidate(X, labels, 3, 0.01, frac, rng, 100, 500, 500)
+            want = np.random.default_rng(9)
+            want.choice(150, 100, replace=False)  # cluster 0: viewers only
+            want.choice(700, 100, replace=False)  # cluster 1: viewers, targets
+            want.choice(700, 500, replace=False)  # cluster 2 has < 8 members
+            assert rng.random() == want.random()
 
     def test_tie_splits_first_cluster(self, monkeypatch):
         # equal shares: the lowest label is split, as np.argmax would pick
         g = np.random.default_rng(6)
         X = np.vstack([g.normal(0, 0.1, (40, 2)), g.normal(5, 0.1, (60, 2))])
-        shares = iter([0.5, 0.5, 0.5])
-        monkeypatch.setattr(dipmeans_mod, "_split_score", lambda *a: next(shares))
+        monkeypatch.setattr(dipmeans_mod, "dip_pvalue", lambda *a, **kw: 0.0)  # every viewer hits
         calls = []
         real = dipmeans_mod.kmeans_np
 
@@ -140,6 +137,87 @@ class TestDipMeansExact:
         refined = [lab for seed, n, lab in calls if seed == 23 and n == len(X)][0]
         split_sizes = [n for seed, n, _ in calls if seed == 23 + 2]
         assert split_sizes == [int((refined == 0).sum())] != [int((refined == 1).sum())]
+
+    @pytest.mark.parametrize("name", ["blobs3", "wholesale", "dermatology"])
+    def test_race_equals_full_scoring(self, name, blobs3, monkeypatch):
+        # the race makes fewer dip calls than testing every viewer of every
+        # cluster, and gives the same labels
+        X = blobs3[0] if name == "blobs3" else uci_like.make(name)[0]
+        calls = []
+        monkeypatch.setattr(dipmeans_mod, "dip", lambda row: calls.append(1) or dip(row))
+        labels = dipmeans(X, seed=23)
+        n_race = len(calls)
+        calls.clear()
+        want = _dipmeans_full(X, seed=23)
+        assert np.array_equal(labels, want)
+        assert n_race < len(calls)
+
+
+def _dipmeans_full(X, *, alpha=0.01, viewer_frac=0.01, max_k=20, seed=23):
+    """DipMeans scoring every viewer of every cluster, first argmax wins."""
+    g = np.random.default_rng(seed)
+    labels = np.zeros(len(X), dtype=np.int64)
+    k = 1
+    while k < max_k:
+        shares = []
+        for j in range(k):
+            members = X[labels == j]
+            m = len(members)
+            if m < 8:
+                shares.append(0.0)
+                continue
+            viewers = members if m <= 100 else members[g.choice(m, 100, replace=False)]
+            targets = members if m <= 500 else members[g.choice(m, 500, replace=False)]
+            rows = np.sqrt(pairwise_sq_dists(viewers, targets))
+            p = [dipmeans_mod.dip_pvalue(dipmeans_mod.dip(r), r.size, n_boot=500) for r in rows]
+            hits = sum(pj <= alpha for pj in p)
+            shares.append(hits / len(viewers))
+        j_best = int(np.argmax(shares))
+        if shares[j_best] <= viewer_frac:
+            break
+        idx = np.flatnonzero(labels == j_best)
+        sub, _ = kmeans_np(X[idx], 2, seed=seed + k)
+        labels[idx[sub == 1]] = k
+        k += 1
+        labels, _ = kmeans_np(X, k, seed=seed)
+    return labels
+
+
+def _race_oracle(H: list[list[bool]], viewer_frac: float) -> int:
+    shares = [sum(row) / len(row) for row in H]
+    j = int(np.argmax(shares))
+    return j if shares[j] > viewer_frac else -1
+
+
+class TestRace:
+    """``_race`` against full scoring on random hit matrices with ties."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_winner_as_full_scoring(self, seed):
+        g = np.random.default_rng(seed)
+        for _ in range(500):
+            k = int(g.integers(1, 7))
+            nv = g.choice([1, 2, 3, 4, 6, 8], k).tolist()  # 1/2 = 2/4 = 3/6 = 4/8
+            H = [(g.random(n) < g.choice([0.0, 0.3, 0.5, 1.0])).tolist() for n in nv]
+            frac = float(g.choice([0.0, 0.25, 1 / 3, 0.5, 0.99]))
+            asked = []
+
+            def hit(j, i):
+                asked.append((j, i))
+                return H[j][i]
+
+            assert dipmeans_mod._race(nv, hit, frac) == _race_oracle(H, frac)
+            for j in range(k):  # each viewer at most once, in order
+                mine = [i for jj, i in asked if jj == j]
+                assert mine == list(range(len(mine)))
+
+    def test_skips_certain_losers(self):
+        # cluster 0 reaches 3 of 4 hits; cluster 1 (one hit in its first
+        # two viewers, then none) can reach at most 3/4 and has the higher label
+        H = [[True, True, True, False], [True, False, False, False]]
+        asked = []
+        assert dipmeans_mod._race([4, 4], lambda j, i: asked.append((j, i)) or H[j][i], 0.1) == 0
+        assert len(asked) < 8
 
 
 class TestRIC:
