@@ -6,15 +6,17 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > half of the host's MemTotal, clamped to 2-8g (the rule of the
+    Tier-1 command in ROADMAP.md) > 2g. spark.driver.memory is read at JVM
+    launch, not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before
+    pyspark is imported anywhere — this runs at conftest import, which
+    pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
     value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
+    is treated as absent so the JVM is never handed an impossible heap,
+    nor one larger than the host's memory.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
@@ -34,7 +36,12 @@ def _driver_mem() -> str:
         except (OSError, ValueError):
             continue
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError, IndexError):
+        return "2g"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -9,6 +9,9 @@ The numpy k-means here (k-means++ init, Lloyd iterations, seeded) is a
 substrate used by DipMeans, STSC, RIC and the harness's noise-assignment
 post-pass; the headline "k-means" baseline of the tables is the
 Spark-native ``pyspark.ml`` one in ``baselines/kmeans.py``.
+
+``_extend_labels`` is the one 1-NN label extension: the harness extends a
+capped comparator's labels with it, and STSC its spectral sample's.
 """
 from __future__ import annotations
 
@@ -24,6 +27,22 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d = aa + bb - 2.0 * (A @ B.T)
     np.maximum(d, 0.0, out=d)
     return d
+
+
+def _extend_labels(X: np.ndarray, sample: np.ndarray, sub_labels: np.ndarray) -> np.ndarray:
+    """1-NN extension of labels fitted on X[sample] to every row of X."""
+    labels = np.empty(len(X), dtype=np.int64)
+    labels[sample] = sub_labels
+    rest = np.setdiff1d(np.arange(len(X)), sample)
+    S = X[sample]
+    ss = (S * S).sum(axis=1)
+    step = max(1, 2**22 // len(S))  # caps each (step, len(S)) float64 temporary at 32 MB
+    for s in range(0, len(rest), step):
+        chunk = rest[s : s + step]
+        B = X[chunk]
+        d2 = (B * B).sum(axis=1)[:, None] + ss[None, :] - 2.0 * (B @ S.T)
+        labels[chunk] = sub_labels[d2.argmin(axis=1)]
+    return labels
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.cells import find_rows
+from repro.core.cells import find_rows, unique_rows
 from repro.core.components import label_components
 from repro.metrics.ami import ami
 
@@ -45,13 +45,9 @@ def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndar
     truncated neighbour list of each point i, concatenated in order of i
     (``src`` is i, ``dst`` the neighbour)."""
     n, d = X.shape
-    cells = np.floor(X / eps).astype(np.int64)
-    order = np.lexsort(cells.T[::-1])
-    sorted_cells = cells[order]
-    # split contiguous runs of equal cells
-    change = np.flatnonzero((np.diff(sorted_cells, axis=0) != 0).any(axis=1)) + 1
-    runs = np.split(order, change)
-    occupied = sorted_cells[np.r_[0, change]]
+    occupied, inverse = unique_rows(np.floor(X / eps).astype(np.int64))
+    # each occupied cell's points, in increasing index order
+    runs = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), -1).reshape(-1, d)
     # run index of each occupied cell's 3^d neighbour cells, -1 if empty
     adjacent = find_rows(occupied, (occupied[:, None, :] + offsets).reshape(-1, d))

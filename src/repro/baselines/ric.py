@@ -115,6 +115,7 @@ def ric(
         labels[labels == b] = a
 
     # renumber to 0..k-1 keeping -1
-    ks = np.unique(labels[labels >= 0])
-    remap = {int(j): i for i, j in enumerate(ks)}
-    return np.array([remap.get(int(v), -1) for v in labels], dtype=np.int64)
+    out = np.full(n, -1, dtype=np.int64)
+    clustered = labels >= 0
+    out[clustered] = np.unique(labels[clustered], return_inverse=True)[1]
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.api import kmeans_np, pairwise_sq_dists
+from repro.baselines.api import _extend_labels, kmeans_np, pairwise_sq_dists
 
 __all__ = ["stsc"]
 
@@ -74,14 +74,4 @@ def stsc(
     V = V / norms
     sub_labels, _ = kmeans_np(V, k, seed=seed)
 
-    if m == n:
-        return sub_labels
-    labels = np.empty(n, dtype=np.int64)
-    labels[sample] = sub_labels
-    rest = np.setdiff1d(np.arange(n), sample)
-    # nearest sampled neighbour, chunked to bound memory
-    for s in range(0, len(rest), 4096):
-        chunk = rest[s : s + 4096]
-        nn = pairwise_sq_dists(X[chunk], S).argmin(axis=1)
-        labels[chunk] = sub_labels[nn]
-    return labels
+    return sub_labels if m == n else _extend_labels(X, sample, sub_labels)

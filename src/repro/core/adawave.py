@@ -11,20 +11,22 @@ Spark; everything in between works on the M ≪ N grid cells on the driver:
    density curve ("elbow theory")                 (`core.threshold`)
 4. connected components over surviving cells      (`core.components`)
 5. lookup table: transformed cell -> label, original cell -> transformed
-   cell is ``c >> levels``; labels join back onto the objects through a
-   broadcast hash join                            (Spark)
+   cell is ``c >> 1`` (one DWT level); labels join back onto the objects
+   through a broadcast hash join                  (Spark)
 
 Steps 2 and 4 (and the coarsening below) keep grid cells as sorted
 integer rows (`core.cells`). Every Spark step is written as SQL text, one
 JVM call each, with quoted column names, so any input column name works;
 the cell columns take names no input column has.
 
-Defaults are auto-derived from the data (the paper's notion of
-"parameter-free": `scale=128` for the 2-D experiments; coarser grids and a
-fanout-1 wavelet for higher d, because an L-tap filter multiplies the
-sparse-cell count by up to ceil(L/2) per dimension pass). An unset scale at
-d > 4 runs steps 2-4 at three scales (most clusters wins), each a coarsening
-of the one collected grid, so the N objects are still read three times.
+Every choice but the grid scale follows from the data (the paper's notion
+of "parameter-free"): one DWT level; CDF(2,2) at d <= 2 and the fanout-1
+Haar filter above, because an L-tap filter multiplies the sparse-cell count
+by up to ceil(L/2) per dimension pass; the elbow's stage and the
+components' adjacency by d. The scale defaults to `scale=128` for the 2-D
+experiments and coarser grids for higher d. An unset scale at d > 4 runs
+steps 2-4 at three scales (most clusters wins), each a coarsening of the
+one collected grid, so the N objects are still read three times.
 """
 from __future__ import annotations
 
@@ -38,11 +40,12 @@ from pyspark.sql import functions as F
 from repro.core.cells import unique_rows
 from repro.core.components import connected_components
 from repro.core.quantize import GridSpec, assign_cells, auto_params, fit_grid, grid_densities, quote
-from repro.core.threshold import angle_threshold, elbow_threshold
-from repro.core.wavelet import Wavelet, dwt_spark, get_wavelet
+from repro.core.threshold import elbow_threshold
+from repro.core.wavelet import dwt_spark
 
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
+_LEVELS = 1  # DWT levels: cell c of the grid is cell c >> 1 of the transformed one
 _EPS_COEF = 1e-9  # "wavelet coefficients close to zero" cutoff (paper step 2)
 # components below this share of the kept density mass become noise: the
 # paper's "further eliminate the noise grids" (dense noise always leaves a
@@ -72,9 +75,6 @@ def adawave(
     features: list[str],
     *,
     scale: int | None = None,
-    levels: int | None = None,
-    wavelet: str | None = None,
-    threshold_method: str = "elbow",
     keep_model: bool = False,
 ) -> DataFrame | tuple[DataFrame, AdaWaveModel]:
     """Cluster ``df`` on ``features``; returns ``df`` + ``cluster`` column.
@@ -84,20 +84,11 @@ def adawave(
     order of their cells in the lexicographically sorted grid collection
     (deterministic). ``scale=None`` picks the scale from the data; at d > 4
     that is the :func:`auto_params` scale or one of its power-of-two
-    neighbours, whichever finds the most clusters. With ``keep_model=True``
+    neighbours, whichever finds the most clusters. Every other choice
+    follows from d (see the module docstring). With ``keep_model=True``
     also returns the :class:`AdaWaveModel`.
     """
     d = len(features)
-    _, a_levels, a_wavelet = auto_params(d)
-    levels = a_levels if levels is None else levels
-    w = get_wavelet(a_wavelet if wavelet is None else wavelet)
-    if d > 6 and w.max_fanout > 1:
-        raise ValueError(
-            f"wavelet {w.name!r} has fanout {w.max_fanout} per dimension; "
-            f"at d={d} the sparse transform may grow by {w.max_fanout}**{d}. "
-            "Use 'haar' for high-dimensional data."
-        )
-
     spec = fit_grid(df, features, scale)  # scale-free bounds: one pass for all scales
     # d > 4: granularity depends on the unknown class spread. Keep the auto
     # scale or a power-of-two neighbour, whichever finds the most clusters
@@ -112,7 +103,7 @@ def adawave(
 
     cells = assign_cells(df, spec)
     grid, counts = grid_densities(cells, d)  # the one grid collect
-    fits = [(k, *_cluster_grid(grid, counts, k, spec, levels, w, threshold_method)) for k in shifts]
+    fits = [(k, *_cluster_grid(grid, counts, k, spec)) for k in shifts]
     k, model, lut = max(fits, key=lambda fit: fit[1].n_clusters)
     tcols = cells.columns[-d:]  # assign_cells appends the cell columns
     names = [*tcols, "cluster"]
@@ -122,7 +113,7 @@ def adawave(
     # -- step 5: broadcast label join (Spark) -------------------------------
     # an input "cluster" is replaced, in any case: Spark resolves names case-insensitively
     keep = [quote(c) for c in df.columns if c.lower() != "cluster"]
-    keyed = cells.selectExpr(*keep, *[f"shiftright({c}, {levels + k}) AS {c}" for c in tcols])
+    keyed = cells.selectExpr(*keep, *[f"shiftright({c}, {_LEVELS + k}) AS {c}" for c in tcols])
     out = keyed.join(F.broadcast(model.labeled_cells), tcols, "left").selectExpr(
         *keep, "coalesce(cluster, -1L) AS cluster"
     )
@@ -130,17 +121,17 @@ def adawave(
 
 
 def _cluster_grid(
-    grid: np.ndarray, counts: np.ndarray, k: int, spec: GridSpec,
-    levels: int, w: Wavelet, threshold_method: str,
+    grid: np.ndarray, counts: np.ndarray, k: int, spec: GridSpec
 ) -> tuple[AdaWaveModel, np.ndarray]:
     """Steps 2-4 on the collected grid coarsened by ``k`` bits: the model, and
     its lookup table (rows of transformed cell, cluster) for ``adawave`` to
     join on."""
     d, spec = spec.d, replace(spec, scale=spec.scale >> k)
+    wavelet = auto_params(d)[1]
     # -- step 2: coarsen and transform the grid (numpy) --------------------
     grid, inv = unique_rows(grid >> k)
     counts = np.bincount(inv, weights=counts, minlength=len(grid))
-    tcells, tdens = dwt_spark(grid, counts, w, levels)
+    tcells, tdens = dwt_spark(grid, counts, wavelet, _LEVELS)
 
     # -- step 2b/3: coefficient denoising + adaptive threshold -------------
     n_transformed = len(tdens)
@@ -152,16 +143,12 @@ def _cluster_grid(
         # no signal/noise split to find (typical of coarse high-d grids) —
         # keep everything rather than elbow on structureless data
         t = float(dens[-1]) - 1.0 if len(dens) else 0.0
-    elif threshold_method == "elbow":
+    else:
         # 2-D noisy grids have a dominant signal/noise corner (stage 1);
         # coarse high-d grids have no uniform-noise plateau, and the first
         # corner would amputate minority clusters — cut at the second,
         # gentler corner instead (the paper's literal three-segment read)
         t = elbow_threshold(dens, stage=1 if d <= 2 else 2)
-    elif threshold_method == "angle":
-        t = angle_threshold(dens)
-    else:
-        raise ValueError(f"unknown threshold method {threshold_method!r}")
     kept = tdens > t
     if len(tdens) and not kept.any():
         # a degenerate elbow (e.g. all-equal densities) must not erase the
@@ -185,8 +172,8 @@ def _cluster_grid(
     model = AdaWaveModel(
         spec=spec,
         scale=spec.scale,
-        levels=levels,
-        wavelet=w.name,
+        levels=_LEVELS,
+        wavelet=wavelet,
         threshold=float(t),
         n_clusters=int(labels.max()) + 1 if len(labels) else 0,
         n_grid_cells=len(grid),

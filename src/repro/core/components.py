@@ -6,12 +6,12 @@ components are found on the driver: every cell shifted by every
 neighbour offset is looked up among the cells in one sorted-row pass
 (:func:`repro.core.cells.find_rows`), and ``label_components`` (a numpy
 root-hooking kernel, shared with the DBSCAN baseline) merges the pairs
-found. Two adjacency notions:
+found. The dimension count picks the adjacency:
 
-- ``"face"``: cells sharing a (d-1)-face, i.e. coordinates differing by 1
-  in exactly one dimension — M·d lookups, usable at any d.
-- ``"chebyshev"``: all 3^d - 1 neighbours (8-connectivity in 2-D, as
-  WaveCluster uses) — only sensible for small d.
+- d <= 3, Chebyshev: all 3^d - 1 neighbours (8-connectivity in 2-D, as
+  WaveCluster uses);
+- d > 3, face: cells sharing a (d-1)-face, i.e. coordinates differing by 1
+  in exactly one dimension — M·d lookups, where 3^d would not scale.
 
 ``connected_components`` returns a label per input cell, 0..k-1.
 """
@@ -49,9 +49,7 @@ def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             lab = nxt
 
 
-def connected_components(
-    cells: np.ndarray, adjacency: str = "auto"
-) -> np.ndarray:
+def connected_components(cells: np.ndarray) -> np.ndarray:
     """Label connected components of a set of integer grid cells.
 
     ``cells`` is an (M, d) integer array of distinct cell coordinates.
@@ -64,18 +62,14 @@ def connected_components(
     m, d = cells.shape
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    if adjacency == "auto":
-        adjacency = "chebyshev" if d <= 3 else "face"
     if len(unique_rows(cells)[0]) != m:
         raise ValueError("duplicate cells in input")
 
-    if adjacency == "face":
-        offsets = np.eye(d, dtype=np.int64)
-    elif adjacency == "chebyshev":
-        # only the "positive" half of the offsets: each pair checked once
+    if d <= 3:
+        # Chebyshev, only the "positive" half of the offsets: each pair checked once
         offsets = np.array([o for o in product((-1, 0, 1), repeat=d) if o > (0,) * d], dtype=np.int64)
     else:
-        raise ValueError(f"unknown adjacency {adjacency!r}")
+        offsets = np.eye(d, dtype=np.int64)  # face
 
     # cell i's neighbour at offset k is query row k·m + i
     dst = find_rows(cells, (offsets[:, None, :] + cells).reshape(-1, d))

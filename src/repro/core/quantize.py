@@ -55,15 +55,15 @@ class GridSpec:
         return max((span if span > 0 else 1.0) / self.scale, math.ulp(0.0))
 
 
-def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
-    """(scale, levels, wavelet) defaults by dimensionality and data size.
+def auto_params(d: int, n: int | None = None) -> tuple[int, str]:
+    """(scale, wavelet) defaults by dimensionality and data size.
 
-    2-D uses the paper's default scale=128 with a one-level CDF(2,2)
-    transform — shrunk towards sqrt(n) when the dataset is small, so cell
-    densities stay statistically meaningful (with the paper's ~30k-point
-    benchmark this stays exactly 128). Higher dimensions use coarser grids
-    (cell count would otherwise exceed the point count) and Haar, whose
-    fanout of one keeps the sparse transform size bounded by the input.
+    2-D uses the paper's default scale=128 with a CDF(2,2) transform —
+    shrunk towards sqrt(n) when the dataset is small, so cell densities
+    stay statistically meaningful (with the paper's ~30k-point benchmark
+    this stays exactly 128). Higher dimensions use coarser grids (cell
+    count would otherwise exceed the point count) and Haar, whose fanout of
+    one keeps the sparse transform size bounded by the input.
     """
     if d <= 2:
         scale = 128
@@ -71,17 +71,17 @@ def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
             # round *up*: a too-fine grid degrades gracefully (sparser
             # cells), a too-coarse one merges adjacent clusters outright
             scale = int(min(128, max(16, 2 ** int(np.ceil(np.log2(max(4.0, np.sqrt(n))))))))
-        return scale, 1, "cdf2.2"
+        return scale, "cdf2.2"
     if d <= 4:
-        return 16, 1, "haar"
+        return 16, "haar"
     if d <= 10:
         # more data supports a finer grid: occupied-cell count is bounded
         # by n, and the finer grid resolves offsets the coarse one merges;
         # with only a few hundred points, cells must stay coarse or every
         # point becomes its own cell
         n_ = n or 0
-        return (16 if n_ >= 5000 else 8 if n_ >= 500 else 4), 1, "haar"
-    return 4, 1, "haar"
+        return (16 if n_ >= 5000 else 8 if n_ >= 500 else 4), "haar"
+    return 4, "haar"
 
 
 def cell_cols(d: int, taken: Iterable[str] = ()) -> list[str]:

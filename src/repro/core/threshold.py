@@ -5,19 +5,15 @@ roughly linear segments — signal, middle (cluster boundaries), noise —
 and the best noise threshold sits at the middle/noise intersection
 (paper Fig. 6, Algorithm 4).
 
-Two detectors are provided:
+:func:`elbow_threshold` is a deterministic two-stage max chord-distance
+("kneedle", Satopää et al. 2011) elbow: the first stage finds the dominant
+signal/middle corner, the second stage re-runs on the tail to find the
+middle/noise corner. The paper's Algorithm 4 instead stops where the angle
+of successive point triples drops sharply ("curAngle << preAngle") but
+gives no tolerance for "sharply"; DESIGN.md § 5.2 says why that detector
+is not implemented.
 
-- :func:`elbow_threshold` (default) — deterministic two-stage max
-  chord-distance ("kneedle") elbow: the first stage finds the dominant
-  signal/middle corner, the second stage re-runs on the tail to find the
-  middle/noise corner. No free tolerance parameter.
-- :func:`angle_threshold` — a faithful implementation of the paper's
-  Algorithm 4: scan the (normalized, smoothed) curve and stop at the
-  first triple whose turning angle drops sharply below its predecessor.
-  The paper gives no tolerance for "curAngle << preAngle"; ours is
-  explicit (``drop``, radians).
-
-Both take the *descending-sorted* density array and return the density
+It takes the *descending-sorted* density array and returns the density
 value below which cells are noise (cells with density > threshold are
 kept).
 """
@@ -25,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["elbow_threshold", "angle_threshold"]
+__all__ = ["elbow_threshold"]
 
 
 def _chord_elbow(y: np.ndarray) -> tuple[int, float]:
@@ -84,46 +80,3 @@ def elbow_threshold(
         return float(tail[i2])
     return float(y[i1])
 
-
-def angle_threshold(
-    densities_desc: np.ndarray, *, drop: float = 0.30, window: int = 15
-) -> float:
-    """Paper's Algorithm 4: first sharp turn of the sorted-density curve.
-
-    The curve is normalized to the unit square (and optionally smoothed
-    with a moving average of ``window`` points) and scanned left to right;
-    at each interior point the angle formed by its neighbours is compared
-    to the previous angle, and the scan stops when the angle shrinks by
-    more than ``drop`` radians — the "turning point". Returns that point's
-    (unsmoothed) density.
-    """
-    y = np.asarray(densities_desc, dtype=np.float64)
-    if y.size < 3 or y[0] == y[-1]:
-        return float(y[-1]) - 1.0 if y.size else 0.0
-    n = y.size
-    ys = y
-    window = min(window, max(0, n // 10))  # adapt to short curves
-    if window and window > 1 and n > window:
-        kernel = np.ones(window) / window
-        ys = np.convolve(y, kernel, mode="valid")
-        n = ys.size
-    x = np.linspace(0.0, 1.0, n)
-    span = ys[0] - ys[-1]
-    yn = (ys - ys[-1]) / span
-
-    def angle(i: int) -> float:
-        a = np.array([x[i - 1] - x[i], yn[i - 1] - yn[i]])
-        b = np.array([x[i + 1] - x[i], yn[i + 1] - yn[i]])
-        cosang = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-300))
-        return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-    prev = np.pi
-    for i in range(1, n - 1):
-        cur = angle(i)
-        if cur <= prev - drop:
-            # map smoothed index back to an unsmoothed density
-            j = min(y.size - 1, i + (window // 2 if window else 0))
-            return float(y[j])
-        prev = cur
-    # no sharp turn found: keep everything
-    return float(y[-1]) - 1.0

@@ -4,7 +4,9 @@ AdaWave only ever keeps the *average* subband (the LL…L approximation), so
 the transform reduces to: convolve with the low-pass analysis filter and
 downsample by 2, once per (dimension x level) — Mallat's algorithm
 restricted to the scale space. The container has no PyWavelets, so the
-analysis low-pass coefficients are hard-coded from the literature.
+analysis low-pass coefficients are hard-coded from the literature. There
+are two filters, and the dimension count picks one
+(:func:`repro.core.quantize.auto_params`): CDF(2,2) at d <= 2, Haar above.
 
 Two implementations, cross-checked in tests:
 
@@ -47,27 +49,11 @@ class Wavelet:
     taps: tuple[float, ...]
     center: int
 
-    @property
-    def max_fanout(self) -> int:
-        """Upper bound on output cells one input cell can touch per pass."""
-        return (len(self.taps) + 1) // 2
-
 
 WAVELETS: dict[str, Wavelet] = {
-    # Haar: the only filter with fanout 1 — mandatory for high-d data,
-    # since fanout^d otherwise blows up the sparse grid.
+    # Haar: a cell reaches one output cell per pass (fanout 1), which high-d
+    # data needs: CDF(2,2) reaches up to 3, so 3^d per level on a sparse grid.
     "haar": Wavelet("haar", (1.0 / _SQRT2, 1.0 / _SQRT2), 0),
-    # Daubechies-2 (4-tap). "Daubechies" in the paper's Section IV-B.
-    "db2": Wavelet(
-        "db2",
-        (
-            (1 + np.sqrt(3.0)) / (4 * _SQRT2),
-            (3 + np.sqrt(3.0)) / (4 * _SQRT2),
-            (3 - np.sqrt(3.0)) / (4 * _SQRT2),
-            (1 - np.sqrt(3.0)) / (4 * _SQRT2),
-        ),
-        1,
-    ),
     # Cohen-Daubechies-Feauveau (2,2): the 5/3 LeGall analysis low-pass.
     "cdf2.2": Wavelet(
         "cdf2.2",
@@ -80,30 +66,11 @@ WAVELETS: dict[str, Wavelet] = {
         ),
         2,
     ),
-    # Cohen-Daubechies-Feauveau (4,2): 9-tap analysis low-pass
-    # (coefficients as in bior2.4's decomposition filter).
-    "cdf4.2": Wavelet(
-        "cdf4.2",
-        (
-            0.033145630368119419 * 1.0,
-            -0.066291260736238838 * 1.0,
-            -0.17677669529663689 * 1.0,
-            0.41984465132951254 * 1.0,
-            0.99436891104358249 * 1.0,
-            0.41984465132951254 * 1.0,
-            -0.17677669529663689 * 1.0,
-            -0.066291260736238838 * 1.0,
-            0.033145630368119419 * 1.0,
-        ),
-        4,
-    ),
 }
 
 
-def get_wavelet(name: str | Wavelet) -> Wavelet:
-    """Resolve a wavelet by name (or pass through a Wavelet instance)."""
-    if isinstance(name, Wavelet):
-        return name
+def get_wavelet(name: str) -> Wavelet:
+    """Resolve a wavelet by name."""
     try:
         return WAVELETS[name]
     except KeyError:
@@ -139,9 +106,7 @@ def _dwt_dense_1d(
     return np.moveaxis(out, 0, axis), k_min
 
 
-def dwt_dense(
-    a: np.ndarray, wavelet: str | Wavelet = "haar", levels: int = 1
-) -> np.ndarray:
+def dwt_dense(a: np.ndarray, wavelet: str = "haar", levels: int = 1) -> np.ndarray:
     """Reference d-dim approximation-subband DWT on a dense density array.
 
     Returns only the density values (the coordinate origin of index 0 is
@@ -157,7 +122,7 @@ def dwt_dense(
 
 
 def dwt_spark(
-    cells: np.ndarray, dens: np.ndarray, wavelet: str | Wavelet = "haar", levels: int = 1
+    cells: np.ndarray, dens: np.ndarray, wavelet: str = "haar", levels: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sparse approximation-subband DWT of a collected grid.
 

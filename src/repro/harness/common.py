@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.baselines.api import assign_nearest
+from repro.baselines.api import _extend_labels, assign_nearest
 from repro.baselines.dbscan import dbscan_sweep
 from repro.baselines.dipmeans import dipmeans
 from repro.baselines.em import em_spark
@@ -61,22 +61,6 @@ class AlgoResult:
     labels: np.ndarray
     seconds: float
     capped: bool = False
-
-
-def _extend_labels(X: np.ndarray, sample: np.ndarray, sub_labels: np.ndarray) -> np.ndarray:
-    """1-NN extension of labels fitted on X[sample] to every row of X."""
-    labels = np.empty(len(X), dtype=np.int64)
-    labels[sample] = sub_labels
-    rest = np.setdiff1d(np.arange(len(X)), sample)
-    S = X[sample]
-    ss = (S * S).sum(axis=1)
-    step = max(1, 2**22 // len(S))  # caps each (step, len(S)) float64 temporary at 32 MB
-    for s in range(0, len(rest), step):
-        chunk = rest[s : s + step]
-        B = X[chunk]
-        d2 = (B * B).sum(axis=1)[:, None] + ss[None, :] - 2.0 * (B @ S.T)
-        labels[chunk] = sub_labels[d2.argmin(axis=1)]
-    return labels
 
 
 def run_algo(

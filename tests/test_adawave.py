@@ -1,11 +1,13 @@
 """End-to-end tests of the AdaWave pipeline (the paper's contribution)."""
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.adawave import AdaWaveModel, adawave, auto_params
+from repro.core.adawave import _LEVELS, AdaWaveModel, adawave, auto_params
 from repro.datasets import uci_like
 from repro.datasets.synthetic import paper_synthetic, to_spark
 from repro.metrics.ami import ami
@@ -37,7 +39,8 @@ class TestAutoParams:
          (6, 4, 1, "haar"), (9, 4, 1, "haar"), (33, 4, 1, "haar")],
     )
     def test_defaults(self, d, scale, levels, wavelet):
-        assert auto_params(d) == (scale, levels, wavelet)
+        # the DWT level count is a constant of the pipeline; the rest follows d
+        assert (auto_params(d), _LEVELS) == ((scale, wavelet), levels)
 
     def test_mid_d_scale_grows_with_n(self):
         assert auto_params(9, 20_000)[0] == 16
@@ -123,33 +126,25 @@ class TestAdaWaveBasics:
         assert model.densities_sorted[0] >= model.densities_sorted[-1]
 
     def test_explicit_params_respected(self, spark, blobs2d):
+        # 32, not 64: 64 is this fixture's auto scale (test_keep_model_fields)
         _, _, df = blobs2d
-        out, model = adawave(
-            df, ["x0", "x1"], scale=64, levels=2, wavelet="haar", keep_model=True
-        )
-        assert (model.scale, model.levels, model.wavelet) == (64, 2, "haar")
+        out, model = adawave(df, ["x0", "x1"], scale=32, keep_model=True)
+        assert model.scale == 32
 
-    def test_high_d_fanout_guard(self, spark):
-        g = np.random.default_rng(2)
-        X = g.random((50, 8))
-        df = to_spark(spark, X)
-        with pytest.raises(ValueError, match="fanout"):
-            adawave(df, [f"x{j}" for j in range(8)], wavelet="cdf2.2")
-
-    def test_unknown_threshold_method_raises(self, spark, blobs2d):
-        _, _, df = blobs2d
-        with pytest.raises(ValueError, match="threshold"):
-            adawave(df, ["x0", "x1"], threshold_method="nope")
-
-    def test_angle_method_runs(self, spark, blobs2d):
-        X, y, df = blobs2d
-        out = adawave(df, ["x0", "x1"], threshold_method="angle")
-        yt, yp = _labels(out)
-        assert len(np.unique(yp[yp >= 0])) >= 1
+    def test_options_are_scale_and_keep_model(self):
+        # parameter-free: the data picks the wavelet, the DWT levels, the
+        # elbow stage and the adjacency; only the grid scale can be forced
+        params = inspect.signature(adawave).parameters.values()
+        assert [(p.name, p.kind) for p in params] == [
+            ("df", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("features", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("scale", inspect.Parameter.KEYWORD_ONLY),
+            ("keep_model", inspect.Parameter.KEYWORD_ONLY),
+        ]
 
     def test_labels_independent_of_shuffle_partitions(self, spark):
-        # a density tie at the angle threshold: its outcome must not hinge
-        # on the order in which Spark's partitions summed the grid
+        # the grid's densities are summed per shuffle partition: the labels
+        # must not hinge on how many partitions there are
         X, y = paper_synthetic(0.5, n_per_cluster=800, seed=1)
         df = to_spark(spark, X, y)
         key = "spark.sql.shuffle.partitions"
@@ -158,7 +153,7 @@ class TestAdaWaveBasics:
             runs = []
             for parts in (1, 64, 200):
                 spark.conf.set(key, str(parts))
-                runs.append(_labels(adawave(df, ["x0", "x1"], threshold_method="angle"))[1])
+                runs.append(_labels(adawave(df, ["x0", "x1"]))[1])
         finally:
             spark.conf.set(key, before)
         assert np.array_equal(runs[0], runs[1])

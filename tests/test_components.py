@@ -1,12 +1,18 @@
 """Unit tests for the components kernel and grid connected components."""
 from __future__ import annotations
 
+import inspect
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.components import connected_components, label_components
+
+
+def _in_4d(cells) -> np.ndarray:
+    """2-D cells padded with two zero coordinates: d = 4 selects face adjacency."""
+    return np.pad(np.asarray(cells), ((0, 0), (0, 2)))
 
 
 class TestLabelComponents:
@@ -61,18 +67,17 @@ class TestConnectedComponents:
         assert connected_components(np.array([[5, 5]])).tolist() == [0]
 
     def test_two_adjacent_cells_face(self):
-        cells = np.array([[0, 0], [0, 1]])
-        labels = connected_components(cells, "face")
+        labels = connected_components(_in_4d([[0, 0], [0, 1]]))
         assert labels[0] == labels[1]
 
     def test_diagonal_cells_face_vs_chebyshev(self):
         cells = np.array([[0, 0], [1, 1]])
-        assert len(set(connected_components(cells, "face"))) == 2
-        assert len(set(connected_components(cells, "chebyshev"))) == 1
+        assert len(set(connected_components(_in_4d(cells)))) == 2
+        assert len(set(connected_components(cells))) == 1
 
     def test_two_separate_blocks(self):
         cells = np.array([[0, 0], [0, 1], [10, 10], [10, 11]])
-        labels = connected_components(cells, "chebyshev")
+        labels = connected_components(cells)
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
@@ -85,21 +90,19 @@ class TestConnectedComponents:
                             ).astype(int),
             axis=0,
         )
-        labels = connected_components(cells, "chebyshev")
+        labels = connected_components(cells)
         assert len(set(labels)) == 1
 
     def test_l_shape_one_component(self):
-        cells = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [2, 2]])
-        assert len(set(connected_components(cells, "face"))) == 1
+        cells = _in_4d([[0, 0], [1, 0], [2, 0], [2, 1], [2, 2]])
+        assert len(set(connected_components(cells))) == 1
 
     def test_labels_are_dense_from_zero(self):
-        cells = np.array([[0, 0], [5, 5], [9, 9], [5, 6]])
-        labels = connected_components(cells, "face")
+        labels = connected_components(_in_4d([[0, 0], [5, 5], [9, 9], [5, 6]]))
         assert set(labels) == set(range(len(set(labels))))
 
     def test_first_appearance_order(self):
-        cells = np.array([[0, 0], [5, 5], [0, 1]])
-        labels = connected_components(cells, "face")
+        labels = connected_components(_in_4d([[0, 0], [5, 5], [0, 1]]))
         assert labels.tolist() == [0, 1, 0]
 
     def test_high_dimensional_face(self):
@@ -107,23 +110,22 @@ class TestConnectedComponents:
         a = np.zeros((3, d), dtype=int)
         a[1, 0] = 1  # face neighbour of a[0]
         a[2, :] = 7  # far away
-        labels = connected_components(a, "face")
+        labels = connected_components(a)
         assert labels[0] == labels[1] != labels[2]
 
     def test_auto_picks_by_dimension(self):
-        diag2 = np.array([[0, 0], [1, 1]])
-        assert len(set(connected_components(diag2, "auto"))) == 1  # chebyshev
-        diag5 = np.zeros((2, 5), dtype=int)
-        diag5[1] = 1
-        assert len(set(connected_components(diag5, "auto"))) == 2  # face
+        diag3 = np.array([[0, 0, 0], [1, 1, 1]])
+        assert len(set(connected_components(diag3))) == 1  # chebyshev
+        diag4 = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
+        assert len(set(connected_components(diag4))) == 2  # face
 
     def test_duplicates_raise(self):
         with pytest.raises(ValueError, match="duplicate"):
             connected_components(np.array([[1, 1], [1, 1]]))
 
-    def test_bad_adjacency_raises(self):
-        with pytest.raises(ValueError, match="adjacency"):
-            connected_components(np.array([[0, 0]]), "manhattan")
+    def test_takes_only_cells(self):
+        # the adjacency follows d (test_auto_picks_by_dimension): no option
+        assert list(inspect.signature(connected_components).parameters) == ["cells"]
 
     def test_bad_shape_raises(self):
         with pytest.raises(ValueError, match="M, d"):
@@ -131,6 +133,5 @@ class TestConnectedComponents:
 
     def test_grid_line_components_count(self):
         # 3 separate horizontal strips
-        cells = np.array([[x, y] for y in (0, 5, 10) for x in range(4)])
-        labels = connected_components(cells, "face")
+        labels = connected_components(_in_4d([[x, y] for y in (0, 5, 10) for x in range(4)]))
         assert len(set(labels)) == 3

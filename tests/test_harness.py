@@ -56,7 +56,7 @@ class TestRunAlgo:
         assert ami(y, res.labels) > 0.9
 
     def test_extend_labels_matches_full_matrix_1nn(self):
-        from repro.harness.common import _extend_labels
+        from repro.baselines.api import _extend_labels
 
         # a 4096-row sample maps the other rows in 1024-row chunks: three here
         g = np.random.default_rng(5)

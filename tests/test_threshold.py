@@ -1,10 +1,10 @@
-"""Unit tests for the adaptive elbow / angle threshold detectors."""
+"""Unit tests for the adaptive elbow threshold detector."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.threshold import angle_threshold, elbow_threshold
+from repro.core.threshold import elbow_threshold
 
 
 def three_segment_curve(
@@ -64,23 +64,3 @@ class TestElbow:
         t = elbow_threshold(y)
         assert t in y or t < y.min()
 
-
-class TestAngle:
-    def test_finds_turn_on_ideal_curve(self):
-        y = three_segment_curve(n_signal=50, n_middle=150, n_noise=300)
-        t = angle_threshold(y, window=5)
-        # should stop somewhere in the signal->middle or middle->noise bend
-        assert y.min() <= t <= y.max()
-        assert t >= 1.0
-
-    def test_flat_curve_keeps_everything(self):
-        y = np.full(50, 2.0)
-        assert angle_threshold(y) < 2.0
-
-    def test_no_turn_keeps_everything(self):
-        y = np.linspace(100, 1, 200)  # straight line: no sharp turn
-        assert angle_threshold(y, drop=1.0) < 1.0
-
-    def test_short_input(self):
-        assert angle_threshold(np.array([2.0, 1.0])) < 1.0
-        assert angle_threshold(np.array([])) == 0.0

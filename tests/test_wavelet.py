@@ -7,6 +7,9 @@ import pytest
 from repro.core.wavelet import WAVELETS, dwt_dense, dwt_spark, get_wavelet
 
 ALL_WAVELETS = sorted(WAVELETS)
+# each filter's index in the four-filter list these tests once seeded their
+# random grids from (with db2 and CDF(4,2)), so every case keeps its data
+_SEED = {"cdf2.2": 0, "haar": 3}
 
 
 class TestFilterBanks:
@@ -16,7 +19,7 @@ class TestFilterBanks:
         w = WAVELETS[name]
         assert sum(w.taps) == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
-    @pytest.mark.parametrize("name", ["haar", "db2"])
+    @pytest.mark.parametrize("name", ["haar"])
     def test_orthonormal_filters_unit_energy(self, name):
         w = WAVELETS[name]
         assert sum(h * h for h in w.taps) == pytest.approx(1.0, abs=1e-10)
@@ -27,15 +30,20 @@ class TestFilterBanks:
         assert 0 <= w.center < len(w.taps)
 
     def test_haar_fanout_one(self):
-        assert WAVELETS["haar"].max_fanout == 1
+        # one input cell reaches one output cell per pass, at either parity
+        for cell in range(4):
+            cells, _ = dwt_spark(np.array([[cell]]), np.array([1.0]), "haar", 1)
+            assert cells.tolist() == [[cell // 2]]
 
-    @pytest.mark.parametrize("name,fanout", [("db2", 2), ("cdf2.2", 3), ("cdf4.2", 5)])
+    @pytest.mark.parametrize("name,fanout", [("cdf2.2", 3)])
     def test_fanouts(self, name, fanout):
-        assert WAVELETS[name].max_fanout == fanout
+        # the most output cells one input cell reaches in a pass: why d > 2 uses Haar
+        reach = [len(dwt_spark(np.array([[c]]), np.array([1.0]), name, 1)[0]) for c in range(4)]
+        assert max(reach) == fanout
 
     def test_get_wavelet_by_name_and_passthrough(self):
-        w = get_wavelet("haar")
-        assert get_wavelet(w) is w
+        # a name resolves to the registered filter itself
+        assert get_wavelet("haar") is WAVELETS["haar"]
 
     def test_get_wavelet_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown wavelet"):
@@ -99,7 +107,7 @@ def _grid(a):
 class TestSparseSparkDWT:
     @pytest.mark.parametrize("d,name,levels", _sparse_cases())
     def test_sparse_matches_dense_values(self, d, name, levels):
-        g = np.random.default_rng([d, levels, ALL_WAVELETS.index(name)])
+        g = np.random.default_rng([d, levels, _SEED[name]])
         shape = (12,) * d if d == 2 else (8,) * d
         a = np.where(g.random(shape) < 0.3, g.random(shape) * 10, 0.0)
         if a.sum() == 0:
@@ -118,8 +126,8 @@ class TestSparseSparkDWT:
         a = np.where(g.random((16, 16)) < 0.4, g.random((16, 16)), 0.0)
         cells, dens = _grid(a)
         cells_f, dens_s = np.asfortranarray(cells), np.repeat(dens, 2)[::2]
-        c1, d1 = dwt_spark(cells, dens, "cdf4.2", 2)
-        c2, d2 = dwt_spark(cells_f, dens_s, "cdf4.2", 2)
+        c1, d1 = dwt_spark(cells, dens, "cdf2.2", 2)
+        c2, d2 = dwt_spark(cells_f, dens_s, "cdf2.2", 2)
         assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
         assert np.array_equal(np.lexsort(c1.T[::-1]), np.arange(len(c1)))
         assert np.array_equal(cells, _grid(a)[0]) and np.array_equal(dens, _grid(a)[1])
