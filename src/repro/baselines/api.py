@@ -19,6 +19,9 @@ import numpy as np
 
 __all__ = ["kmeans_np", "assign_nearest", "pairwise_sq_dists"]
 
+_N_INIT = 4  # k-means restarts
+_MAX_ITER = 100  # Lloyd iterations per restart
+
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(len(A), len(B)) matrix of squared Euclidean distances."""
@@ -57,27 +60,20 @@ def _kmeanspp_init(X: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def kmeans_np(
-    X: np.ndarray,
-    k: int,
-    *,
-    seed: int = 0,
-    max_iter: int = 100,
-    n_init: int = 4,
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans_np(X: np.ndarray, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's k-means with k-means++ init; returns (labels, centers).
 
-    Deterministic in ``seed``; best of ``n_init`` restarts by inertia.
+    Deterministic in ``seed``; best of ``_N_INIT`` restarts by inertia.
     """
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
     k = min(k, n)
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for r in range(n_init):
+    for r in range(_N_INIT):
         g = np.random.default_rng(seed + 1000 * r)
         centers = _kmeanspp_init(X, k, g)
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             d2 = pairwise_sq_dists(X, centers)
             new_labels = d2.argmin(axis=1)
             if (new_labels == labels).all() and _ > 0:

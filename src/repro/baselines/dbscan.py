@@ -9,8 +9,9 @@ rest is noise (-1).
 Neighbour search is grid-accelerated for d <= 3 (cells of side eps; only
 the 3^d adjacent cells are scanned) and chunked brute-force otherwise —
 the paper's own automation protocol is a 20-value eps sweep, so per-run
-cost matters. ``dbscan_sweep`` reproduces that protocol: minPts=8,
-eps in {0.01..0.2}, best AMI wins.
+cost matters. ``dbscan_sweep`` reproduces that protocol: minPts =
+``MIN_PTS``, eps over ``EPS_GRID`` (or a caller's rescaled grid), best AMI
+wins.
 """
 from __future__ import annotations
 
@@ -22,7 +23,11 @@ from repro.core.cells import find_rows, unique_rows
 from repro.core.components import label_components
 from repro.metrics.ami import ami
 
-__all__ = ["dbscan", "dbscan_sweep"]
+__all__ = ["MIN_PTS", "EPS_GRID", "dbscan", "dbscan_sweep"]
+
+# the paper's automation protocol: minPts = 8, eps in {0.01, 0.02, ..., 0.2}
+MIN_PTS = 8
+EPS_GRID = np.arange(0.01, 0.201, 0.01)
 
 
 # Neighbour lists are truncated to this many entries per point. Core
@@ -141,37 +146,34 @@ def dbscan(X: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return _label(n, *lists, min_pts)
 
 
-def _sweep_labels(X: np.ndarray, eps_values: list[float], min_pts: int) -> Iterator[np.ndarray]:
-    """``dbscan(X, eps, min_pts)`` for each of ``eps_values`` in turn. On the
+def _sweep_labels(X: np.ndarray, eps_values: list[float]) -> Iterator[np.ndarray]:
+    """``dbscan(X, eps, MIN_PTS)`` for each of ``eps_values`` in turn. On the
     brute path a batch of eps values shares one pass of distances, and a
     batch is built only when the caller asks for its first labels."""
     n, d = X.shape
     if d <= 3 or n == 0:
         for eps in eps_values:
-            yield dbscan(X, eps, min_pts)
+            yield dbscan(X, eps, MIN_PTS)
         return
     step = max(1, _SWEEP_ENTRIES // (n * _MAX_NEIGHBORS))
     for b in range(0, len(eps_values), step):
         for lists in _neighbor_lists_brute(X, eps_values[b : b + step]):
-            yield _label(n, *lists, min_pts)
+            yield _label(n, *lists, MIN_PTS)
 
 
 def dbscan_sweep(
     X: np.ndarray,
     labels_true: np.ndarray,
     *,
-    min_pts: int = 8,
-    eps_grid: np.ndarray | None = None,
+    eps_grid: np.ndarray = EPS_GRID,
     eval_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
-    """The paper's automation: fix minPts, sweep eps, keep the best AMI.
+    """The paper's automation: minPts = ``MIN_PTS``, sweep eps, keep the best AMI.
 
     Returns (best_labels, best_eps, best_ami). ``eval_mask`` restricts the
     AMI computation (the synthetic experiment scores non-noise points
     only).
     """
-    if eps_grid is None:
-        eps_grid = np.arange(0.01, 0.201, 0.01)
     if eval_mask is None:
         eval_mask = np.ones(len(X), dtype=bool)
     eps_values = np.sort(np.asarray(eps_grid, dtype=np.float64)).tolist()
@@ -179,7 +181,7 @@ def dbscan_sweep(
         raise ValueError("eps_grid is empty")
     X = np.asarray(X, dtype=np.float64)
     best: tuple[np.ndarray, float, float] | None = None
-    for eps, lab in zip(eps_values, _sweep_labels(X, eps_values, min_pts)):
+    for eps, lab in zip(eps_values, _sweep_labels(X, eps_values)):
         score = ami(labels_true[eval_mask], lab[eval_mask])
         if best is None or score > best[2]:
             best = (lab, eps, score)

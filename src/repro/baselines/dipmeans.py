@@ -3,7 +3,7 @@
 Incremental k-means wrapper that estimates k: starting from k=1, each
 cluster is tested for unimodality — every member is a "viewer" whose
 vector of distances to the other members gets a dip test; if more than a
-``viewer_frac`` share of viewers see multimodality (p <= alpha), the
+``_VIEWER_FRAC`` share of viewers see multimodality (p <= ``_ALPHA``), the
 cluster is a split candidate. The candidate with the highest share is
 split in two (2-means on its members) and the process repeats until no
 candidate remains.
@@ -13,10 +13,10 @@ Hoeffding races, NIPS 1993, with certain bounds instead of probable
 ones): after i of nv viewers, ``hits`` multimodal, a cluster's final
 share lies in [hits/nv, (hits + nv - i)/nv], and a cluster leaves the
 race once that interval shows it cannot be the first highest share above
-``viewer_frac``. The chosen split is exactly that of testing every viewer.
+``_VIEWER_FRAC``. The chosen split is exactly that of testing every viewer.
 
-Distances within large clusters are subsampled (``max_viewers`` viewers,
-``max_targets`` targets) to keep the O(|c|^2) dip stage bounded; this is
+Distances within large clusters are subsampled (``_MAX_VIEWERS`` viewers,
+``_MAX_TARGETS`` targets) to keep the O(|c|^2) dip stage bounded; this is
 an implementation cap, not an algorithmic change.
 """
 from __future__ import annotations
@@ -29,6 +29,14 @@ from repro.baselines.api import kmeans_np, pairwise_sq_dists
 from repro.stats.dip import dip_pvalue, dip
 
 __all__ = ["dipmeans"]
+
+_ALPHA = 0.01  # a viewer is a hit at dip p-value <= this
+_VIEWER_FRAC = 0.01  # a cluster is a split candidate above this share of hits
+_MAX_K = 20  # at most this many clusters
+_MAX_VIEWERS = 100
+_MAX_TARGETS = 500
+_N_BOOT = 500  # bootstrap size of the dip test's null table
+_SEED = 23
 
 
 def _race(nv: list[int], hit: Callable[[int, int], bool], viewer_frac: float) -> int:
@@ -64,19 +72,9 @@ def _race(nv: list[int], hit: Callable[[int, int], bool], viewer_frac: float) ->
         tested[j] += 1
 
 
-def _split_candidate(
-    X: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-    alpha: float,
-    viewer_frac: float,
-    g: np.random.Generator,
-    max_viewers: int,
-    max_targets: int,
-    n_boot: int,
-) -> int:
+def _split_candidate(X: np.ndarray, labels: np.ndarray, k: int, g: np.random.Generator) -> int:
     """The cluster DipMeans splits next (the first with the highest share of
-    multimodal viewers above ``viewer_frac``), or -1 for none."""
+    multimodal viewers above ``_VIEWER_FRAC``), or -1 for none."""
     # every cluster's viewers and targets are drawn, in label order, before
     # any test, so the stream of g does not depend on what the race skips
     draws: list[tuple[np.ndarray, np.ndarray] | None] = []
@@ -86,8 +84,8 @@ def _split_candidate(
         if m < 8:  # share 0: one viewer that is never a hit
             draws.append(None)
             continue
-        viewers = members if m <= max_viewers else members[g.choice(m, max_viewers, replace=False)]
-        targets = members if m <= max_targets else members[g.choice(m, max_targets, replace=False)]
+        viewers = members if m <= _MAX_VIEWERS else members[g.choice(m, _MAX_VIEWERS, replace=False)]
+        targets = members if m <= _MAX_TARGETS else members[g.choice(m, _MAX_TARGETS, replace=False)]
         draws.append((viewers, targets))
     rows: list[np.ndarray | None] = [None] * k  # viewer-to-target distances
 
@@ -97,38 +95,26 @@ def _split_candidate(
         if rows[j] is None:
             rows[j] = np.sqrt(pairwise_sq_dists(*draws[j]))
         row = rows[j][i]
-        return dip_pvalue(dip(row), row.size, n_boot=n_boot) <= alpha
+        return dip_pvalue(dip(row), row.size, n_boot=_N_BOOT) <= _ALPHA
 
     nv = [1 if dr is None else len(dr[0]) for dr in draws]
-    return _race(nv, hit, viewer_frac)
+    return _race(nv, hit, _VIEWER_FRAC)
 
 
-def dipmeans(
-    X: np.ndarray,
-    *,
-    alpha: float = 0.01,
-    viewer_frac: float = 0.01,
-    max_k: int = 20,
-    seed: int = 23,
-    max_viewers: int = 100,
-    max_targets: int = 500,
-    n_boot: int = 500,
-) -> np.ndarray:
+def dipmeans(X: np.ndarray) -> np.ndarray:
     """Cluster with automatically estimated k; labels 0..k-1 (no noise)."""
     X = np.asarray(X, dtype=np.float64)
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(_SEED)
     labels = np.zeros(len(X), dtype=np.int64)
     k = 1
-    while k < max_k:
-        j_best = _split_candidate(
-            X, labels, k, alpha, viewer_frac, g, max_viewers, max_targets, n_boot
-        )
+    while k < _MAX_K:
+        j_best = _split_candidate(X, labels, k, g)
         if j_best < 0:
             break
         # split cluster j_best with 2-means, then refine globally
         idx = np.flatnonzero(labels == j_best)
-        sub, _ = kmeans_np(X[idx], 2, seed=seed + k)
+        sub, _ = kmeans_np(X[idx], 2, seed=_SEED + k)
         labels[idx[sub == 1]] = k
         k += 1
-        labels, _ = kmeans_np(X, k, seed=seed)  # global refinement
+        labels, _ = kmeans_np(X, k, seed=_SEED)  # global refinement
     return labels

@@ -15,10 +15,12 @@ from repro.baselines.kmeans import _features_df
 
 __all__ = ["em_spark"]
 
+_SEED = 11
 
-def em_spark(spark: SparkSession, X: np.ndarray, k: int, *, seed: int = 11) -> np.ndarray:
+
+def em_spark(spark: SparkSession, X: np.ndarray, k: int) -> np.ndarray:
     """Fit a k-component GMM by EM; returns MAP component labels."""
     df = _features_df(spark, np.asarray(X, dtype=np.float64))
-    model = GaussianMixture(k=k, seed=seed, featuresCol="features").fit(df)
+    model = GaussianMixture(k=k, seed=_SEED, featuresCol="features").fit(df)
     pred = model.transform(df).select("id", "prediction").toPandas()
     return pred.sort_values("id")["prediction"].to_numpy(dtype=np.int64)

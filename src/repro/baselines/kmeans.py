@@ -18,6 +18,8 @@ from repro.datasets.synthetic import to_spark
 
 __all__ = ["kmeans_spark"]
 
+_SEED = 7
+
 
 def _features_df(spark: SparkSession, X: np.ndarray):
     """``to_spark(spark, X)`` in one partition, plus a ``features`` vector of
@@ -32,9 +34,9 @@ def _features_df(spark: SparkSession, X: np.ndarray):
     return to_spark(spark, X).coalesce(1).withColumn("features", array_to_vector(F.array(*cols)))
 
 
-def kmeans_spark(spark: SparkSession, X: np.ndarray, k: int, *, seed: int = 7) -> np.ndarray:
+def kmeans_spark(spark: SparkSession, X: np.ndarray, k: int) -> np.ndarray:
     """Cluster rows of X into k groups; returns labels aligned with rows."""
     df = _features_df(spark, np.asarray(X, dtype=np.float64))
-    model = KMeans(k=k, seed=seed, featuresCol="features").fit(df)
+    model = KMeans(k=k, seed=_SEED, featuresCol="features").fit(df)
     pred = model.transform(df).select("id", "prediction").toPandas()
     return pred.sort_values("id")["prediction"].to_numpy(dtype=np.int64)

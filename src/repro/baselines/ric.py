@@ -26,6 +26,8 @@ from repro.baselines.api import kmeans_np
 __all__ = ["ric"]
 
 _LOG2E = float(np.log2(np.e))
+_MAX_ROUNDS = 10  # purify/merge rounds
+_SEED = 41
 
 
 def _gauss_bits(pts: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -52,23 +54,16 @@ def _model_cost_bits(n: int, d: int) -> float:
     return 0.5 * np.log2(max(n, 2)) * n_params
 
 
-def ric(
-    X: np.ndarray,
-    k0: int | None = None,
-    *,
-    seed: int = 41,
-    max_rounds: int = 10,
-) -> np.ndarray:
+def ric(X: np.ndarray) -> np.ndarray:
     """Purified clustering; labels 0..k-1 with -1 for noise points."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    if k0 is None:
-        k0 = max(2, min(10, int(np.sqrt(n / 10))))
-    labels, _ = kmeans_np(X, k0, seed=seed)
+    k0 = max(2, min(10, int(np.sqrt(n / 10))))  # the generous preliminary k
+    labels, _ = kmeans_np(X, k0, seed=_SEED)
     lo, hi = X.min(axis=0), X.max(axis=0)
     noise_rate = _noise_bits(d, lo, hi)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         # --- purification ---------------------------------------------
         for j in np.unique(labels[labels >= 0]):
             idx = np.flatnonzero(labels == j)

@@ -28,6 +28,8 @@ from repro.stats.dip import diptest
 
 __all__ = ["unidip", "skinnydip"]
 
+_ALPHA = 0.05  # a sample is multimodal at dip p-value <= this
+
 
 def _mirror(x: np.ndarray, about: float) -> np.ndarray:
     """Reflect x about a point and return the sorted union (2x size)."""
@@ -85,13 +87,7 @@ def _widen(x: np.ndarray, li: int, ui: int) -> tuple[float, float]:
 
 
 def unidip(
-    x: np.ndarray,
-    alpha: float = 0.05,
-    *,
-    is_modal: bool = True,
-    n_boot: int = 1000,
-    guard: bool = True,
-    _depth: int = 0,
+    x: np.ndarray, *, is_modal: bool = True, guard: bool = True, _depth: int = 0
 ) -> list[tuple[float, float]]:
     """Modal intervals [(lo_value, hi_value), ...] of a 1-D sample.
 
@@ -105,8 +101,8 @@ def unidip(
     n = x.size
     if n < 4 or x[0] == x[-1] or _depth > 16:
         return [(float(x[0]), float(x[-1]))] if n else []
-    d, p, (li, ui) = diptest(x, n_boot=n_boot, sort=False)
-    if p > alpha:
+    d, p, (li, ui) = diptest(x, sort=False)
+    if p > _ALPHA:
         if is_modal:
             return [(float(x[0]), float(x[-1]))]
         if guard and not _mode_significant(x, li, ui):
@@ -115,9 +111,7 @@ def unidip(
 
     # multimodal: recurse inside the modal interval (inherits the caller's
     # trust level — it is a sub-slice of data the caller vouched for)
-    inner = unidip(
-        x[li : ui + 1], alpha, is_modal=True, n_boot=n_boot, guard=guard, _depth=_depth + 1
-    )
+    inner = unidip(x[li : ui + 1], is_modal=True, guard=guard, _depth=_depth + 1)
     if not inner:
         inner = [(float(x[li]), float(x[ui]))]
     lo_edge = min(lo for lo, _ in inner)
@@ -128,20 +122,14 @@ def unidip(
     # edge, so a boundary mode is interior to the tested sample.
     lwing = x[x <= hi_edge]
     if lwing.size >= 4 and float(lwing[0]) < lo_edge:
-        _, pl, _ = diptest(_mirror(lwing, float(lwing[-1])), n_boot=n_boot, sort=False)
-        if pl <= alpha:
-            out += unidip(
-                x[x < lo_edge], alpha, is_modal=False, n_boot=n_boot,
-                guard=True, _depth=_depth + 1,
-            )
+        _, pl, _ = diptest(_mirror(lwing, float(lwing[-1])), sort=False)
+        if pl <= _ALPHA:
+            out += unidip(x[x < lo_edge], is_modal=False, guard=True, _depth=_depth + 1)
     rwing = x[x >= lo_edge]
     if rwing.size >= 4 and float(rwing[-1]) > hi_edge:
-        _, pr, _ = diptest(_mirror(rwing, float(rwing[0])), n_boot=n_boot, sort=False)
-        if pr <= alpha:
-            out += unidip(
-                x[x > hi_edge], alpha, is_modal=False, n_boot=n_boot,
-                guard=True, _depth=_depth + 1,
-            )
+        _, pr, _ = diptest(_mirror(rwing, float(rwing[0])), sort=False)
+        if pr <= _ALPHA:
+            out += unidip(x[x > hi_edge], is_modal=False, guard=True, _depth=_depth + 1)
 
     # merge overlapping intervals, sort by position
     out.sort()
@@ -154,9 +142,7 @@ def unidip(
     return merged
 
 
-def skinnydip(
-    X: np.ndarray, alpha: float = 0.05, *, n_boot: int = 1000
-) -> np.ndarray:
+def skinnydip(X: np.ndarray) -> np.ndarray:
     """Cluster labels from per-dimension modal hyper-intervals; -1 = noise."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -176,7 +162,7 @@ def skinnydip(
         # yields its *modal interval* (the cluster), not the full range —
         # this is where SkinnyDip's noise rejection comes from. guard=False:
         # this slice is a candidate cluster, not a suspect flank.
-        for lo, hi in unidip(vals, alpha, is_modal=False, n_boot=n_boot, guard=False):
+        for lo, hi in unidip(vals, is_modal=False, guard=False):
             inside = idx[(vals >= lo) & (vals <= hi)]
             if len(inside):
                 rec(inside, dim + 1)

@@ -5,10 +5,10 @@ sigma_i the distance to the 7th nearest neighbour, symmetric-normalized
 Laplacian, top-k eigenvectors (numpy ``eigh`` — no scipy in container),
 row normalization, then k-means in the embedding.
 
-k is either given (the paper hands correct k to the automated baselines)
-or chosen by the eigengap heuristic — a documented simplification of
-STSC's rotation-alignment selection (DESIGN.md § 5). The O(n^2) affinity
-is capped at ``max_n`` points; out-of-sample points take the label of
+k is either given or chosen by the eigengap heuristic among the top
+``_MAX_K`` eigenvalues — a documented simplification of STSC's
+rotation-alignment selection (DESIGN.md § 5). The O(n^2) affinity
+is capped at ``_MAX_N`` points; out-of-sample points take the label of
 their nearest sampled neighbour.
 """
 from __future__ import annotations
@@ -19,22 +19,19 @@ from repro.baselines.api import _extend_labels, kmeans_np, pairwise_sq_dists
 
 __all__ = ["stsc"]
 
+_K_NN = 7  # sigma_i is the distance to this nearest neighbour
+_MAX_K = 15  # the eigengap looks at this many top eigenvalues
+_MAX_N = 2000  # the affinity's sample size
+_SEED = 31
 
-def stsc(
-    X: np.ndarray,
-    k: int | None = None,
-    *,
-    k_nn: int = 7,
-    max_k: int = 15,
-    max_n: int = 2000,
-    seed: int = 31,
-) -> np.ndarray:
+
+def stsc(X: np.ndarray, k: int | None = None) -> np.ndarray:
     """Spectral cluster labels 0..k-1 (no noise concept)."""
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
-    g = np.random.default_rng(seed)
-    if n > max_n:
-        sample = np.sort(g.choice(n, max_n, replace=False))
+    g = np.random.default_rng(_SEED)
+    if n > _MAX_N:
+        sample = np.sort(g.choice(n, _MAX_N, replace=False))
     else:
         sample = np.arange(n)
     S = X[sample]
@@ -42,7 +39,7 @@ def stsc(
 
     d2 = pairwise_sq_dists(S, S)
     order = np.sort(d2, axis=1)
-    sigma = np.sqrt(order[:, min(k_nn, m - 1)])
+    sigma = np.sqrt(order[:, min(_K_NN, m - 1)])
     sigma[sigma == 0] = np.min(sigma[sigma > 0]) if (sigma > 0).any() else 1.0
     A = np.exp(-d2 / np.outer(sigma, sigma))
     np.fill_diagonal(A, 0.0)
@@ -58,7 +55,7 @@ def stsc(
         # eigengap heuristic on the top eigenvalues: take the *first* gap
         # comparable to the largest one (a later, marginally bigger gap
         # deep in the spectrum must not override an early clean split)
-        top = evals[: min(max_k, m)]
+        top = evals[: min(_MAX_K, m)]
         gaps = -np.diff(top)
         if len(gaps) > 1:
             cut = 0.5 * float(gaps.max())
@@ -72,6 +69,6 @@ def stsc(
     norms = np.linalg.norm(V, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     V = V / norms
-    sub_labels, _ = kmeans_np(V, k, seed=seed)
+    sub_labels, _ = kmeans_np(V, k, seed=_SEED)
 
     return sub_labels if m == n else _extend_labels(X, sample, sub_labels)

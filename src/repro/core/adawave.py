@@ -45,7 +45,6 @@ from repro.core.wavelet import dwt_spark
 
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
-_LEVELS = 1  # DWT levels: cell c of the grid is cell c >> 1 of the transformed one
 _EPS_COEF = 1e-9  # "wavelet coefficients close to zero" cutoff (paper step 2)
 # components below this share of the kept density mass become noise: the
 # paper's "further eliminate the noise grids" (dense noise always leaves a
@@ -58,8 +57,6 @@ class AdaWaveModel:
     """Everything AdaWave derived from the data, for inspection/tests."""
 
     spec: GridSpec
-    scale: int
-    levels: int
     wavelet: str
     threshold: float
     n_clusters: int
@@ -113,7 +110,9 @@ def adawave(
     # -- step 5: broadcast label join (Spark) -------------------------------
     # an input "cluster" is replaced, in any case: Spark resolves names case-insensitively
     keep = [quote(c) for c in df.columns if c.lower() != "cluster"]
-    keyed = cells.selectExpr(*keep, *[f"shiftright({c}, {_LEVELS + k}) AS {c}" for c in tcols])
+    # one DWT level: grid cell c is transformed cell c >> 1, so c >> (1 + k)
+    # on the grid coarsened by k bits
+    keyed = cells.selectExpr(*keep, *[f"shiftright({c}, {1 + k}) AS {c}" for c in tcols])
     out = keyed.join(F.broadcast(model.labeled_cells), tcols, "left").selectExpr(
         *keep, "coalesce(cluster, -1L) AS cluster"
     )
@@ -131,7 +130,7 @@ def _cluster_grid(
     # -- step 2: coarsen and transform the grid (numpy) --------------------
     grid, inv = unique_rows(grid >> k)
     counts = np.bincount(inv, weights=counts, minlength=len(grid))
-    tcells, tdens = dwt_spark(grid, counts, wavelet, _LEVELS)
+    tcells, tdens = dwt_spark(grid, counts, wavelet)
 
     # -- step 2b/3: coefficient denoising + adaptive threshold -------------
     n_transformed = len(tdens)
@@ -171,8 +170,6 @@ def _cluster_grid(
 
     model = AdaWaveModel(
         spec=spec,
-        scale=spec.scale,
-        levels=_LEVELS,
         wavelet=wavelet,
         threshold=float(t),
         n_clusters=int(labels.max()) + 1 if len(labels) else 0,

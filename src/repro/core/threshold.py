@@ -23,6 +23,9 @@ import numpy as np
 
 __all__ = ["elbow_threshold"]
 
+# stage 2 keeps its second corner only at this normalized chord distance
+_MIN_SIGNIFICANCE = 0.3
+
 
 def _chord_elbow(y: np.ndarray) -> tuple[int, float]:
     """Index of the max-distance-from-chord point and that distance.
@@ -46,9 +49,7 @@ def _chord_elbow(y: np.ndarray) -> tuple[int, float]:
     return i, float(dist[i])
 
 
-def elbow_threshold(
-    densities_desc: np.ndarray, *, stage: int = 1, min_significance: float = 0.3
-) -> float:
+def elbow_threshold(densities_desc: np.ndarray, *, stage: int = 1) -> float:
     """Kneedle elbow on the descending density curve.
 
     ``stage=1`` (default) returns the density at the dominant corner of the
@@ -57,7 +58,7 @@ def elbow_threshold(
     tail past the first corner to find a distinct middle/noise corner
     (the literal reading of the paper's three-segment Fig. 6), falling
     back to stage 1 when that second corner is not significant
-    (normalized chord distance below ``min_significance``).
+    (normalized chord distance below ``_MIN_SIGNIFICANCE``).
 
     If the curve is degenerate (flat or too short) a value below the
     minimum density is returned so no cell is filtered.
@@ -76,7 +77,7 @@ def elbow_threshold(
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     tail = y[i1:]
     i2, s2 = _chord_elbow(tail)
-    if s2 >= min_significance and i2 > 0:
+    if s2 >= _MIN_SIGNIFICANCE and i2 > 0:
         return float(tail[i2])
     return float(y[i1])
 

@@ -2,7 +2,7 @@
 
 AdaWave only ever keeps the *average* subband (the LL…L approximation), so
 the transform reduces to: convolve with the low-pass analysis filter and
-downsample by 2, once per (dimension x level) — Mallat's algorithm
+downsample by 2, once per dimension — one level of Mallat's algorithm
 restricted to the scale space. The container has no PyWavelets, so the
 analysis low-pass coefficients are hard-coded from the literature. There
 are two filters, and the dimension count picks one
@@ -77,72 +77,60 @@ def get_wavelet(name: str) -> Wavelet:
         raise ValueError(f"unknown wavelet {name!r}; available: {sorted(WAVELETS)}") from None
 
 
-def _dwt_dense_1d(
-    a: np.ndarray, w: Wavelet, axis: int, origin: int
-) -> tuple[np.ndarray, int]:
+def _dwt_dense_1d(a: np.ndarray, w: Wavelet, axis: int) -> np.ndarray:
     """Low-pass + downsample along one axis of a dense array (zero padding).
 
-    ``origin`` is the true grid coordinate of array index 0 on this axis —
-    it must be carried across levels because the downsample-by-2 parity is
-    defined on *coordinates*, not array indices (the sparse Spark path
-    works in coordinates natively). Returns (array, new origin).
+    Array index i is grid coordinate i, as on the sparse path: output index
+    k - k_min holds transformed coordinate k.
     """
     a = np.moveaxis(a, axis, 0)
     n = a.shape[0]
-    coords = origin + np.arange(n)
     # reachable output coordinates: k = (i + center - m) / 2, parity-valid;
-    # the smallest is ceil((first_coord + center - (L-1)) / 2)
-    lo = int(coords[0]) + w.center - (len(w.taps) - 1)
-    k_min = -((-lo) // 2)
-    k_max = (int(coords[-1]) + w.center) // 2
+    # the smallest is ceil((center - (L-1)) / 2)
+    k_min = -((len(w.taps) - 1 - w.center) // 2)
+    k_max = (n - 1 + w.center) // 2
     out = np.zeros((k_max - k_min + 1,) + a.shape[1:], dtype=np.float64)
-    for idx, i in enumerate(coords):
+    for i in range(n):
         for m, h in enumerate(w.taps):
-            num = int(i) + w.center - m
+            num = i + w.center - m
             if num % 2 == 0:
-                k = num // 2
-                if k_min <= k <= k_max:
-                    out[k - k_min] += h * a[idx]
-    return np.moveaxis(out, 0, axis), k_min
+                out[num // 2 - k_min] += h * a[i]
+    return np.moveaxis(out, 0, axis)
 
 
-def dwt_dense(a: np.ndarray, wavelet: str = "haar", levels: int = 1) -> np.ndarray:
+def dwt_dense(a: np.ndarray, wavelet: str = "haar") -> np.ndarray:
     """Reference d-dim approximation-subband DWT on a dense density array.
 
-    Returns only the density values (the coordinate origin of index 0 is
+    Returns only the density values (the coordinate of index 0 is
     internal); tests compare value multisets against the sparse path.
     """
     w = get_wavelet(wavelet)
     out = np.asarray(a, dtype=np.float64)
-    origins = [0] * out.ndim
-    for _ in range(levels):
-        for axis in range(out.ndim):
-            out, origins[axis] = _dwt_dense_1d(out, w, axis, origins[axis])
+    for axis in range(out.ndim):
+        out = _dwt_dense_1d(out, w, axis)
     return out
 
 
 def dwt_spark(
-    cells: np.ndarray, dens: np.ndarray, wavelet: str = "haar", levels: int = 1
+    cells: np.ndarray, dens: np.ndarray, wavelet: str = "haar"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse approximation-subband DWT of a collected grid.
+    """Sparse approximation-subband DWT of a collected grid (one level).
 
     ``cells`` is an (M, d) int64 array of occupied cells in lexicographic
     order, as ``grid_densities`` returns them, and ``dens`` their
     densities; the order fixes the summation order, so the result is
     bit-reproducible. Returns the transformed cells, again in lexicographic
     order, and their densities. Transformed coordinates relate to originals
-    by ``t_j = c_j >> levels`` for the dominant tap (the lookup-table
-    mapping).
+    by ``t_j = c_j >> 1`` for the dominant tap (the lookup-table mapping).
     """
     w = get_wavelet(wavelet)
     taps = np.asarray(w.taps)
     offsets = w.center - np.arange(len(taps))
-    for _ in range(levels):
-        for j in range(cells.shape[1]):
-            num = cells[:, j, None] + offsets  # (M, taps): twice the output index
-            src, tap = np.nonzero(num % 2 == 0)
-            out = cells[src]
-            out[:, j] = num[src, tap] // 2
-            cells, inv = unique_rows(out)
-            dens = np.bincount(inv, weights=dens[src] * taps[tap], minlength=len(cells))
+    for j in range(cells.shape[1]):
+        num = cells[:, j, None] + offsets  # (M, taps): twice the output index
+        src, tap = np.nonzero(num % 2 == 0)
+        out = cells[src]
+        out[:, j] = num[src, tap] // 2
+        cells, inv = unique_rows(out)
+        dens = np.bincount(inv, weights=dens[src] * taps[tap], minlength=len(cells))
     return cells, dens

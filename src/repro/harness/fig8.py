@@ -17,33 +17,28 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets.synthetic import paper_synthetic
-from repro.harness.common import run_algo
+from repro.harness.common import ALGORITHMS, run_algo
 from repro.metrics.ami import ami
 
 __all__ = ["run_fig8", "DEFAULT_GAMMAS"]
 
 DEFAULT_GAMMAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-FIG8_ALGOS = ("adawave", "skinnydip", "dbscan", "em", "kmeans", "stsc", "dipmeans", "ric")
 
 
 def run_fig8(
     spark: SparkSession,
     *,
     gammas: tuple[float, ...] = DEFAULT_GAMMAS,
-    algorithms: tuple[str, ...] = FIG8_ALGOS,
+    algorithms: tuple[str, ...] = ALGORITHMS,
     n_per_cluster: int = 5600,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """One row per (gamma, algorithm): AMI on non-noise points + runtime."""
     rows = []
     for gamma in gammas:
-        X, y = paper_synthetic(gamma, n_per_cluster=n_per_cluster, seed=seed)
+        X, y = paper_synthetic(gamma, n_per_cluster=n_per_cluster)
         eval_mask = y >= 0
         for algo in algorithms:
-            res = run_algo(
-                spark, algo, X, y,
-                k_true=5, eval_mask=eval_mask, assign_noise=False, seed=seed,
-            )
+            res = run_algo(spark, algo, X, y, k_true=5, eval_mask=eval_mask)
             score = ami(y[eval_mask], res.labels[eval_mask])
             rows.append(
                 {

@@ -51,7 +51,6 @@ def run_table1(
     datasets: list[str] | None = None,
     algorithms: tuple[str, ...] = ALGORITHMS,
     roadmap_n: int | None = None,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Run the Table I experiment; returns one row per (dataset, algo).
 
@@ -66,10 +65,7 @@ def run_table1(
         X, y = uci_like.make(name, **kwargs)
         k_true = len(np.unique(y))
         for algo in algorithms:
-            res = run_algo(
-                spark, algo, X, y,
-                k_true=k_true, assign_noise=True, seed=seed,
-            )
+            res = run_algo(spark, algo, X, y, k_true=k_true, assign_noise=True)
             score = ami(y, res.labels)
             rows.append(
                 {

@@ -29,9 +29,9 @@ PAPER_TABLE2 = {
 }
 
 
-def run_table2(spark: SparkSession, *, seed: int = 104) -> pd.DataFrame:
+def run_table2(spark: SparkSession) -> pd.DataFrame:
     """Correlation of each synthetic-Glass attribute with the class label."""
-    X, y = glass(seed=seed)
+    X, y = glass()
     df = to_spark(spark, X, y)
     aggs = [
         F.corr(F.col(f"x{j}"), F.col("label")).alias(attr)

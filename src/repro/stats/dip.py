@@ -19,6 +19,9 @@ import numpy as np
 
 __all__ = ["dip", "diptest", "dip_pvalue"]
 
+_N_BOOT = 1000  # bootstrap size of diptest's null table
+_BOOT_SEED = 17  # the null table of reference size n is drawn from seed _BOOT_SEED + n
+
 
 def dip(x: np.ndarray, *, sort: bool = True) -> float:
     """Dip statistic of a 1-D sample, in [1/(2n), 0.25]. NaN or ±inf raises ValueError."""
@@ -26,9 +29,7 @@ def dip(x: np.ndarray, *, sort: bool = True) -> float:
     return d
 
 
-def diptest(
-    x: np.ndarray, *, n_boot: int = 1000, seed: int = 17, sort: bool = True
-) -> tuple[float, float, tuple[int, int]]:
+def diptest(x: np.ndarray, *, sort: bool = True) -> tuple[float, float, tuple[int, int]]:
     """Return ``(dip, p_value, (lo, hi))``.
 
     ``(lo, hi)`` are indices into the *sorted* sample delimiting the modal
@@ -38,14 +39,14 @@ def diptest(
     """
     xs = np.asarray(x, dtype=np.float64)
     d, lo, hi = _dip_full(xs, sort=sort)
-    p = dip_pvalue(d, xs.size, n_boot=n_boot, seed=seed)
+    p = dip_pvalue(d, xs.size)
     return d, p, (lo, hi)
 
 
 _REF_SIZES = (50, 200, 1000, 4000)
 
 
-def dip_pvalue(d: float, n: int, *, n_boot: int = 1000, seed: int = 17) -> float:
+def dip_pvalue(d: float, n: int, *, n_boot: int = _N_BOOT) -> float:
     """Bootstrap p-value of a dip value for sample size n under uniformity.
 
     Exact bootstrap tables are only built at a few reference sizes; other
@@ -57,7 +58,7 @@ def dip_pvalue(d: float, n: int, *, n_boot: int = 1000, seed: int = 17) -> float
     if n < 4:
         return 1.0
     ref = _ref_size(n)
-    table = _boot_table(ref, int(n_boot), int(seed))
+    table = _boot_table(ref, int(n_boot))
     scaled = d * np.sqrt(n / ref)
     idx = np.searchsorted(table, scaled, side="left")
     return float((table.size - idx) / table.size)
@@ -69,8 +70,8 @@ def _ref_size(n: int) -> int:  # nearest in log scale, first on a tie
 
 
 @lru_cache(maxsize=16)
-def _boot_table(n: int, n_boot: int, seed: int) -> np.ndarray:
-    g = np.random.default_rng(seed + n)
+def _boot_table(n: int, n_boot: int) -> np.ndarray:
+    g = np.random.default_rng(_BOOT_SEED + n)
     u = g.random((n_boot, n))
     u.sort(axis=1)
     return np.sort(np.array([_dip_full(row, sort=False)[0] for row in u]))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.adawave import _LEVELS, AdaWaveModel, adawave, auto_params
+from repro.core.adawave import AdaWaveModel, adawave, auto_params
+from repro.core.wavelet import dwt_spark
 from repro.datasets import uci_like
 from repro.datasets.synthetic import paper_synthetic, to_spark
 from repro.metrics.ami import ami
@@ -39,8 +40,11 @@ class TestAutoParams:
          (6, 4, 1, "haar"), (9, 4, 1, "haar"), (33, 4, 1, "haar")],
     )
     def test_defaults(self, d, scale, levels, wavelet):
-        # the DWT level count is a constant of the pipeline; the rest follows d
-        assert (auto_params(d), _LEVELS) == ((scale, wavelet), levels)
+        # scale and filter follow d; the DWT runs one level, so the label
+        # join's c >> 1 is the cell the filter's dominant tap lands on
+        assert auto_params(d) == (scale, wavelet)
+        cells, dens = dwt_spark(np.full((1, d), 6), np.ones(1), wavelet)
+        assert cells[np.argmax(dens)].tolist() == [6 >> levels] * d
 
     def test_mid_d_scale_grows_with_n(self):
         assert auto_params(9, 20_000)[0] == 16
@@ -118,8 +122,7 @@ class TestAdaWaveBasics:
         _, _, df = blobs2d
         out, model = adawave(df, ["x0", "x1"], keep_model=True)
         assert isinstance(model, AdaWaveModel)
-        assert model.scale == 64  # auto: sqrt(1200) rounded up to a power of 2
-        assert model.levels == 1
+        assert model.spec.scale == 64  # auto: sqrt(1200) rounded up to a power of 2
         assert model.wavelet == "cdf2.2"
         assert model.n_kept_cells <= model.n_transformed_cells
         assert model.n_clusters >= 1
@@ -129,7 +132,7 @@ class TestAdaWaveBasics:
         # 32, not 64: 64 is this fixture's auto scale (test_keep_model_fields)
         _, _, df = blobs2d
         out, model = adawave(df, ["x0", "x1"], scale=32, keep_model=True)
-        assert model.scale == 32
+        assert model.spec.scale == 32
 
     def test_options_are_scale_and_keep_model(self):
         # parameter-free: the data picks the wavelet, the DWT levels, the
@@ -266,7 +269,7 @@ class TestAdaWaveScaleSearch:
         X, _, df = wholesale
         feats = [f"x{j}" for j in range(X.shape[1])]
         _, model = adawave(df, feats, scale=scale, keep_model=True)
-        assert (model.scale, model.n_clusters) == (found_scale, n_clusters)
+        assert (model.spec.scale, model.n_clusters) == (found_scale, n_clusters)
 
 
 class TestAdaWaveNoise:

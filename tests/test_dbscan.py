@@ -7,6 +7,8 @@ import pytest
 import repro.baselines.dbscan as dbscan_mod
 from repro.baselines.dbscan import (
     _MAX_NEIGHBORS,
+    EPS_GRID,
+    MIN_PTS,
     _neighbor_lists_brute,
     _neighbor_lists_grid,
     dbscan,
@@ -216,7 +218,7 @@ class TestDBSCAN:
 class TestSweep:
     def test_returns_best(self, blobs):
         X, y = blobs
-        labels, eps, score = dbscan_sweep(X, y, min_pts=5)
+        labels, eps, score = dbscan_sweep(X, y)
         assert score > 0.9
         assert 0.01 <= eps <= 0.2
 
@@ -224,7 +226,7 @@ class TestSweep:
         X, y = blobs
         mask = np.zeros(len(X), dtype=bool)
         mask[:200] = True
-        _, _, score = dbscan_sweep(X, y, min_pts=5, eval_mask=mask)
+        _, _, score = dbscan_sweep(X, y, eval_mask=mask)
         assert -1e-9 <= score <= 1.0 + 1e-9  # fp slack on exact matches
 
     def test_custom_grid(self, blobs):
@@ -238,12 +240,12 @@ class TestSweep:
             dbscan_sweep(X, y, eps_grid=np.array([]))
 
 
-def _sweep_oracle(X, labels_true, eps_grid, min_pts=8):
+def _sweep_oracle(X, labels_true, eps_grid):
     """The sweep as one ``dbscan`` call per eps, in order, with the early stop;
     also returns how many eps values it labelled."""
     best, ran = None, 0
     for eps in np.sort(np.asarray(eps_grid, dtype=np.float64)):
-        lab = dbscan(X, float(eps), min_pts)
+        lab = dbscan(X, float(eps), MIN_PTS)
         ran += 1
         score = ami(labels_true, lab)
         if best is None or score > best[2]:
@@ -258,7 +260,7 @@ def _brute_sweep_cases():
     """(name, X, y, eps grid) on the brute path (d > 3), unit-scaled as run_algo does."""
     g = np.random.default_rng(13)
     d = 5
-    grid = np.arange(0.01, 0.201, 0.01) * np.sqrt(d / 2.0)
+    grid = EPS_GRID * np.sqrt(d / 2.0)
     # three blobs in noise: the sweep runs to the end of the grid
     X = np.vstack([g.normal(c, 0.03, (100, d)) for c in (0.2, 0.5, 0.8)] + [g.random((60, d))])
     y = np.repeat([0, 1, 2, 3], [100, 100, 100, 60])

@@ -80,8 +80,9 @@ _P_PINNED_STUB = {
 }
 
 
-def _stub_table(n: int, n_boot: int, seed: int) -> np.ndarray:
-    return np.sort(np.random.default_rng(seed + n + n_boot).random(n_boot)) * (1.2 / np.sqrt(n))
+def _stub_table(n: int, n_boot: int) -> np.ndarray:
+    g = np.random.default_rng(dipmod._BOOT_SEED + n + n_boot)
+    return np.sort(g.random(n_boot)) * (1.2 / np.sqrt(n))
 
 
 class TestDipStatistic:
@@ -161,24 +162,24 @@ class TestDipStatistic:
         with pytest.raises(ValueError, match="infinite"):
             dip(x)
         with pytest.raises(ValueError, match="infinite"):
-            diptest(x, n_boot=100)
+            diptest(x)
 
 
 class TestDipPValue:
     def test_uniform_high_p(self):
         g = np.random.default_rng(6)
-        ps = [diptest(g.random(300), n_boot=300)[1] for _ in range(5)]
+        ps = [diptest(g.random(300))[1] for _ in range(5)]
         assert float(np.median(ps)) > 0.1
 
     def test_bimodal_low_p(self):
         g = np.random.default_rng(7)
         x = np.concatenate([g.normal(-4, 0.3, 150), g.normal(4, 0.3, 150)])
-        _, p, _ = diptest(x, n_boot=300)
+        _, p, _ = diptest(x)
         assert p < 0.01
 
     def test_gaussian_not_significant(self):
         g = np.random.default_rng(8)
-        _, p, _ = diptest(g.normal(0, 1, 500), n_boot=300)
+        _, p, _ = diptest(g.normal(0, 1, 500))
         assert p > 0.2
 
     def test_pvalue_in_unit_interval(self):
@@ -209,7 +210,7 @@ class TestModalInterval:
     def test_modal_interval_valid_indices(self):
         g = np.random.default_rng(9)
         x = np.sort(g.random(100))
-        _, _, (lo, hi) = diptest(x, n_boot=100, sort=False)
+        _, _, (lo, hi) = diptest(x, sort=False)
         assert 0 <= lo <= hi <= 99
 
     def test_modal_interval_covers_a_mode_of_bimodal(self):
@@ -217,7 +218,7 @@ class TestModalInterval:
         x = np.sort(
             np.concatenate([g.normal(-5, 0.2, 200), g.normal(5, 0.2, 200)])
         )
-        _, _, (lo, hi) = diptest(x, n_boot=100, sort=False)
+        _, _, (lo, hi) = diptest(x, sort=False)
         # the interval should sit inside one of the two modes
         vals = x[[lo, hi]]
         assert (vals < 0).all() or (vals > 0).all()

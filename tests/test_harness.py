@@ -1,16 +1,30 @@
 """Integration tests for the experiment harnesses (reduced sizes)."""
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines.api import kmeans_np
+from repro.baselines.dbscan import dbscan, dbscan_sweep
+from repro.baselines.dipmeans import dipmeans
+from repro.baselines.em import em_spark
+from repro.baselines.kmeans import kmeans_spark
+from repro.baselines.ric import ric
+from repro.baselines.skinnydip import skinnydip, unidip
+from repro.baselines.stsc import stsc
+from repro.core.adawave import AdaWaveModel
+from repro.core.threshold import elbow_threshold
+from repro.core.wavelet import dwt_dense, dwt_spark
 from repro.harness.common import ALGORITHMS, run_algo
 from repro.harness.fig8 import run_fig8
 from repro.harness.fig10 import run_fig10
 from repro.harness.table1 import PAPER_TABLE1, run_table1, table1_matrix
 from repro.harness.table2 import GLASS_ATTRS, PAPER_TABLE2, run_table2
 from repro.metrics.ami import ami
+from repro.stats.dip import dip_pvalue, diptest
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +143,37 @@ class TestFig10:
         assert len(r) == 4
         assert (r.seconds > 0).all()
         assert sorted(r.n.unique().tolist()) == [2000, 4000]
+
+
+class TestOptions:
+    def test_parameter_lists(self):
+        # a tuning value with one value in use is a module constant, not a
+        # parameter: what is left is data, sizes and the choices callers make
+        want = {
+            dipmeans: ["X"],
+            skinnydip: ["X"],
+            unidip: ["x", "is_modal", "guard", "_depth"],
+            stsc: ["X", "k"],
+            ric: ["X"],
+            kmeans_np: ["X", "k", "seed"],
+            kmeans_spark: ["spark", "X", "k"],
+            em_spark: ["spark", "X", "k"],
+            dbscan: ["X", "eps", "min_pts"],
+            dbscan_sweep: ["X", "labels_true", "eps_grid", "eval_mask"],
+            diptest: ["x", "sort"],
+            dip_pvalue: ["d", "n", "n_boot"],
+            dwt_dense: ["a", "wavelet"],
+            dwt_spark: ["cells", "dens", "wavelet"],
+            elbow_threshold: ["densities_desc", "stage"],
+            run_algo: ["spark", "algo", "X", "y", "k_true", "eval_mask", "assign_noise"],
+            run_table1: ["spark", "datasets", "algorithms", "roadmap_n"],
+            run_fig8: ["spark", "gammas", "algorithms", "n_per_cluster"],
+            run_fig10: ["spark", "total_sizes", "algorithms"],
+            run_table2: ["spark"],
+            AdaWaveModel: [
+                "spec", "wavelet", "threshold", "n_clusters", "n_grid_cells",
+                "n_transformed_cells", "n_kept_cells", "densities_sorted", "labeled_cells",
+            ],
+        }
+        got = {f: list(inspect.signature(f).parameters) for f in want}
+        assert {f.__name__: p for f, p in got.items()} == {f.__name__: p for f, p in want.items()}

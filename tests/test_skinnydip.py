@@ -11,7 +11,7 @@ from repro.metrics.ami import ami
 class TestUniDip:
     def test_single_gaussian_one_interval(self):
         g = np.random.default_rng(0)
-        ivs = unidip(g.normal(0, 1, 400), n_boot=300)
+        ivs = unidip(g.normal(0, 1, 400))
         assert len(ivs) == 1
 
     def test_trimodal_three_intervals(self):
@@ -19,7 +19,7 @@ class TestUniDip:
         x = np.concatenate(
             [g.normal(-6, 0.3, 300), g.normal(0, 0.3, 300), g.normal(6, 0.3, 300)]
         )
-        ivs = unidip(x, n_boot=300)
+        ivs = unidip(x)
         assert len(ivs) == 3
         centers = [(lo + hi) / 2 for lo, hi in ivs]
         assert np.allclose(sorted(centers), [-6, 0, 6], atol=1.0)
@@ -29,7 +29,7 @@ class TestUniDip:
         x = np.concatenate(
             [g.normal(-5, 0.3, 250), g.normal(5, 0.3, 250), g.uniform(-10, 10, 500)]
         )
-        ivs = unidip(x, n_boot=300)
+        ivs = unidip(x)
         # both true modes must be found; a random dense clump in 500
         # uniform points may legitimately add one extra interval
         assert 2 <= len(ivs) <= 4
@@ -41,7 +41,7 @@ class TestUniDip:
         g = np.random.default_rng(3)
         mode = g.normal(0, 0.3, 200)
         x = np.concatenate([mode, g.uniform(-10, 10, 800)])
-        ivs = unidip(x, is_modal=False, n_boot=300)
+        ivs = unidip(x, is_modal=False)
         assert len(ivs) == 1
         lo, hi = ivs[0]
         assert ((mode >= lo) & (mode <= hi)).mean() > 0.6
@@ -49,16 +49,16 @@ class TestUniDip:
     def test_intervals_sorted_and_disjoint(self):
         g = np.random.default_rng(4)
         x = np.concatenate([g.normal(-4, 0.2, 200), g.normal(4, 0.2, 200)])
-        ivs = unidip(x, n_boot=300)
+        ivs = unidip(x)
         for (l1, h1), (l2, h2) in zip(ivs, ivs[1:]):
             assert h1 < l2
 
     def test_tiny_sample(self):
-        assert unidip(np.array([1.0, 2.0]), n_boot=100) == [(1.0, 2.0)]
-        assert unidip(np.array([]), n_boot=100) == []
+        assert unidip(np.array([1.0, 2.0])) == [(1.0, 2.0)]
+        assert unidip(np.array([])) == []
 
     def test_constant_sample(self):
-        ivs = unidip(np.full(50, 3.0), n_boot=100)
+        ivs = unidip(np.full(50, 3.0))
         assert ivs == [(3.0, 3.0)]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.baselines.dipmeans as dipmeans_mod
+import repro.baselines.stsc as stsc_mod
 from repro.baselines.api import kmeans_np, pairwise_sq_dists
 from repro.baselines.dipmeans import dipmeans
 from repro.baselines.ric import ric
@@ -45,9 +46,10 @@ class TestSTSC:
         y = np.repeat([0, 1], 400)
         assert ami(y, stsc(X, 2)) > 0.9
 
-    def test_subsample_path(self, blobs3):
+    def test_subsample_path(self, blobs3, monkeypatch):
         X, y = blobs3
-        labels = stsc(X, 3, max_n=100)
+        monkeypatch.setattr(stsc_mod, "_MAX_N", 100)
+        labels = stsc(X, 3)
         assert len(labels) == len(X)
         assert ami(y, labels) > 0.9
 
@@ -73,9 +75,10 @@ class TestDipMeans:
         X, _ = blobs3
         assert (dipmeans(X) >= 0).all()
 
-    def test_max_k_respected(self, blobs3):
+    def test_max_k_respected(self, blobs3, monkeypatch):
         X, _ = blobs3
-        labels = dipmeans(X, max_k=2)
+        monkeypatch.setattr(dipmeans_mod, "_MAX_K", 2)
+        labels = dipmeans(X)
         assert len(np.unique(labels)) <= 2
 
 
@@ -100,10 +103,10 @@ class TestDipMeansExact:
         if name == "blobs3":
             labels = dipmeans(blobs3[0])
         else:  # as the Table I runner calls it
-            labels = dipmeans(uci_like.make(name)[0], seed=23)
+            labels = dipmeans(uci_like.make(name)[0])
         assert (_digest(labels), np.bincount(labels).tolist()) == _DIPMEANS_PINNED[name]
 
-    def test_draws_before_tests(self):
+    def test_draws_before_tests(self, monkeypatch):
         # however much the race skips, g ends where drawing every cluster's
         # viewers and then its targets, in label order, leaves it
         g = np.random.default_rng(5)
@@ -111,8 +114,9 @@ class TestDipMeansExact:
         X = np.vstack([g.normal(c, 1, (m, 2)) for c, m in zip([0, 3, 9], sizes)])
         labels = np.repeat([0, 1, 2], sizes)
         for frac in (0.01, 0.99):  # one winner early, or no winner after more tests
+            monkeypatch.setattr(dipmeans_mod, "_VIEWER_FRAC", frac)
             rng = np.random.default_rng(9)
-            dipmeans_mod._split_candidate(X, labels, 3, 0.01, frac, rng, 100, 500, 500)
+            dipmeans_mod._split_candidate(X, labels, 3, rng)
             want = np.random.default_rng(9)
             want.choice(150, 100, replace=False)  # cluster 0: viewers only
             want.choice(700, 100, replace=False)  # cluster 1: viewers, targets
@@ -133,7 +137,8 @@ class TestDipMeansExact:
             return out
 
         monkeypatch.setattr(dipmeans_mod, "kmeans_np", spy)
-        dipmeans(X, max_k=3, seed=23)
+        monkeypatch.setattr(dipmeans_mod, "_MAX_K", 3)
+        dipmeans(X)
         refined = [lab for seed, n, lab in calls if seed == 23 and n == len(X)][0]
         split_sizes = [n for seed, n, _ in calls if seed == 23 + 2]
         assert split_sizes == [int((refined == 0).sum())] != [int((refined == 1).sum())]
@@ -145,10 +150,10 @@ class TestDipMeansExact:
         X = blobs3[0] if name == "blobs3" else uci_like.make(name)[0]
         calls = []
         monkeypatch.setattr(dipmeans_mod, "dip", lambda row: calls.append(1) or dip(row))
-        labels = dipmeans(X, seed=23)
+        labels = dipmeans(X)
         n_race = len(calls)
         calls.clear()
-        want = _dipmeans_full(X, seed=23)
+        want = _dipmeans_full(X)
         assert np.array_equal(labels, want)
         assert n_race < len(calls)
 
@@ -229,7 +234,7 @@ class TestRIC:
 
     def test_separable_blobs_reasonable(self, blobs3):
         X, y = blobs3
-        labels = ric(X, k0=3)
+        labels = ric(X)
         assert ami(y, labels) > 0.5
 
     def test_struggles_on_non_gaussian_shapes(self):
@@ -249,7 +254,7 @@ class TestRIC:
         X = np.vstack(
             [g.normal((0.5, 0.5), 0.02, (150, 2)), g.uniform(-3, 4, (300, 2))]
         )
-        labels = ric(X, k0=4)
+        labels = ric(X)
         assert (labels == -1).any()
 
     def test_deterministic(self, blobs3):

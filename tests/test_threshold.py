@@ -28,12 +28,12 @@ class TestElbow:
     def test_three_segment_stage2_below_stage1(self):
         y = three_segment_curve()
         t1 = elbow_threshold(y, stage=1)
-        t2 = elbow_threshold(y, stage=2, min_significance=0.05)
+        t2 = elbow_threshold(y, stage=2)
         assert t2 <= t1
 
     def test_stage2_finds_middle_noise_corner(self):
         y = three_segment_curve(knee1=20.0, knee2=2.0)
-        t2 = elbow_threshold(y, stage=2, min_significance=0.05)
+        t2 = elbow_threshold(y, stage=2)
         assert 1.0 <= t2 <= 6.0
 
     def test_flat_curve_keeps_everything(self):

@@ -32,13 +32,13 @@ class TestFilterBanks:
     def test_haar_fanout_one(self):
         # one input cell reaches one output cell per pass, at either parity
         for cell in range(4):
-            cells, _ = dwt_spark(np.array([[cell]]), np.array([1.0]), "haar", 1)
+            cells, _ = dwt_spark(np.array([[cell]]), np.array([1.0]), "haar")
             assert cells.tolist() == [[cell // 2]]
 
     @pytest.mark.parametrize("name,fanout", [("cdf2.2", 3)])
     def test_fanouts(self, name, fanout):
         # the most output cells one input cell reaches in a pass: why d > 2 uses Haar
-        reach = [len(dwt_spark(np.array([[c]]), np.array([1.0]), name, 1)[0]) for c in range(4)]
+        reach = [len(dwt_spark(np.array([[c]]), np.array([1.0]), name)[0]) for c in range(4)]
         assert max(reach) == fanout
 
     def test_get_wavelet_by_name_and_passthrough(self):
@@ -54,7 +54,7 @@ class TestDenseDWT:
     def test_haar_1d_pairs_average(self):
         # haar low-pass of [a, b] -> (a + b)/sqrt(2) at the paired index
         a = np.array([2.0, 4.0, 6.0, 8.0])
-        out = dwt_dense(a, "haar", levels=1)
+        out = dwt_dense(a, "haar")
         nz = out[out != 0]
         assert np.allclose(sorted(nz), sorted([(2 + 4) / np.sqrt(2), (6 + 8) / np.sqrt(2)]))
 
@@ -62,20 +62,15 @@ class TestDenseDWT:
         # each haar pass multiplies the total mass by 1/sqrt(2) per dim
         g = np.random.default_rng(0)
         a = g.random((8, 8))
-        out = dwt_dense(a, "haar", levels=1)
+        out = dwt_dense(a, "haar")
         assert out.sum() == pytest.approx(a.sum() / 2.0)  # two dims
-
-    def test_levels_shrink(self):
-        a = np.ones((16, 16))
-        out = dwt_dense(a, "haar", levels=2)
-        assert out.shape == (4, 4)
 
     @pytest.mark.parametrize("name", ALL_WAVELETS)
     def test_constant_signal_stays_flat_inside(self, name):
         # a constant region maps to a constant region (per pass scaled by
         # sum(taps at each parity) = sqrt(2)/... for haar exactly)
         a = np.ones(64)
-        out = dwt_dense(a, name, levels=1)
+        out = dwt_dense(a, name)
         interior = out[4:-4]
         assert np.allclose(interior, interior[0])
 
@@ -84,18 +79,17 @@ class TestDenseDWT:
         # coefficient is spike * (center tap)^2 for an even-aligned spike
         a = np.zeros((16, 16))
         a[8, 8] = 100.0
-        out = dwt_dense(a, "cdf2.2", levels=1)
+        out = dwt_dense(a, "cdf2.2")
         assert out.max() == pytest.approx(100.0 * (0.75 * np.sqrt(2)) ** 2)
         assert (np.abs(out) > 1e-12).sum() > 1  # it did spread
 
 
 def _sparse_cases():
-    # the 2-D ids are the original ones; the 3-D cases carry a "-3d" suffix
+    # "1-" is the one DWT level; the 3-D cases carry a "-3d" suffix
     for d in (2, 3):
-        for levels in (1, 2):
-            for name in ALL_WAVELETS:
-                suffix = "" if d == 2 else "-3d"
-                yield pytest.param(d, name, levels, id=f"{levels}-{name}{suffix}")
+        for name in ALL_WAVELETS:
+            suffix = "" if d == 2 else "-3d"
+            yield pytest.param(d, name, id=f"1-{name}{suffix}")
 
 
 def _grid(a):
@@ -105,19 +99,19 @@ def _grid(a):
 
 
 class TestSparseSparkDWT:
-    @pytest.mark.parametrize("d,name,levels", _sparse_cases())
-    def test_sparse_matches_dense_values(self, d, name, levels):
-        g = np.random.default_rng([d, levels, _SEED[name]])
+    @pytest.mark.parametrize("d,name", _sparse_cases())
+    def test_sparse_matches_dense_values(self, d, name):
+        g = np.random.default_rng([d, 1, _SEED[name]])
         shape = (12,) * d if d == 2 else (8,) * d
         a = np.where(g.random(shape) < 0.3, g.random(shape) * 10, 0.0)
         if a.sum() == 0:
             a[(3,) * d] = 5.0
-        dense = dwt_dense(a, name, levels=levels)
-        cells, dens = dwt_spark(*_grid(a), name, levels=levels)
+        dense = dwt_dense(a, name)
+        cells, dens = dwt_spark(*_grid(a), name)
         assert np.array_equal(np.lexsort(cells.T[::-1]), np.arange(len(cells)))
         got = np.sort(dens[np.abs(dens) > 1e-9])
         want = np.sort(dense[np.abs(dense) > 1e-9].ravel())
-        assert np.allclose(got, want, atol=1e-9), f"{name} L{levels} d{d}"
+        assert np.allclose(got, want, atol=1e-9), f"{name} d{d}"
 
     def test_deterministic(self):
         # bit-identical, lexicographically sorted output however the
@@ -126,8 +120,8 @@ class TestSparseSparkDWT:
         a = np.where(g.random((16, 16)) < 0.4, g.random((16, 16)), 0.0)
         cells, dens = _grid(a)
         cells_f, dens_s = np.asfortranarray(cells), np.repeat(dens, 2)[::2]
-        c1, d1 = dwt_spark(cells, dens, "cdf2.2", 2)
-        c2, d2 = dwt_spark(cells_f, dens_s, "cdf2.2", 2)
+        c1, d1 = dwt_spark(cells, dens, "cdf2.2")
+        c2, d2 = dwt_spark(cells_f, dens_s, "cdf2.2")
         assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
         assert np.array_equal(np.lexsort(c1.T[::-1]), np.arange(len(c1)))
         assert np.array_equal(cells, _grid(a)[0]) and np.array_equal(dens, _grid(a)[1])
@@ -136,17 +130,17 @@ class TestSparseSparkDWT:
         g = np.random.default_rng(1)
         a = np.where(g.random((16, 16)) < 0.1, 1.0, 0.0)
         n_in = int((a != 0).sum())
-        cells, _ = dwt_spark(*_grid(a), "haar", levels=1)
+        cells, _ = dwt_spark(*_grid(a), "haar")
         assert len(cells) <= n_in
 
     def test_1d_sparse(self):
-        cells, dens = dwt_spark(np.array([[0], [1], [5]]), np.array([1.0, 1.0, 2.0]), "haar", 1)
+        cells, dens = dwt_spark(np.array([[0], [1], [5]]), np.array([1.0, 1.0, 2.0]), "haar")
         # cells 0,1 pair into output 0; cell 5 (odd) pairs into output 2
         assert cells[:, 0].tolist() == [0, 2]
         assert np.allclose(dens, [2 / np.sqrt(2), 2 / np.sqrt(2)])
 
     def test_3d_haar(self):
-        cells, dens = dwt_spark(np.array([[0, 0, 0], [1, 1, 1]]), np.array([4.0, 4.0]), "haar", 1)
+        cells, dens = dwt_spark(np.array([[0, 0, 0], [1, 1, 1]]), np.array([4.0, 4.0]), "haar")
         # both cells map to transformed cell (0,0,0); mass 8 / sqrt(2)^3
         assert cells.tolist() == [[0, 0, 0]]
         assert dens[0] == pytest.approx(8.0 / 2 ** 1.5)
