@@ -92,10 +92,10 @@ def _split_candidate(X: np.ndarray, labels: np.ndarray, k: int, g: np.random.Gen
     def hit(j: int, i: int) -> bool:
         if draws[j] is None:
             return False
-        if rows[j] is None:
-            rows[j] = np.sqrt(pairwise_sq_dists(*draws[j]))
+        if rows[j] is None:  # sorted once, so each dip skips its sort
+            rows[j] = np.sort(np.sqrt(pairwise_sq_dists(*draws[j])), axis=1, kind="mergesort")
         row = rows[j][i]
-        return dip_pvalue(dip(row), row.size, n_boot=_N_BOOT) <= _ALPHA
+        return dip_pvalue(dip(row, sort=False), row.size, n_boot=_N_BOOT) <= _ALPHA
 
     nv = [1 if dr is None else len(dr[0]) for dr in draws]
     return _race(nv, hit, _VIEWER_FRAC)

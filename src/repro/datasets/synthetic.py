@@ -2,7 +2,7 @@
 
 Five 2-D clusters of ``n_per_cluster`` objects each, exercising the shape
 variety the paper describes — an approximate rectangle, two *overlapping*
-rings, and a *concentric* disk + ring pair (nested clusters) — plus
+rings, and a *concentric* ring pair (nested clusters) — plus
 uniform noise over the unit square at a chosen percentage ``gamma`` of
 the total dataset.
 
@@ -33,12 +33,6 @@ def _ring(
 ) -> np.ndarray:
     theta = g.uniform(0.0, 2 * np.pi, n)
     rad = r + g.normal(0.0, width, n)
-    return np.column_stack([cx + rad * np.cos(theta), cy + rad * np.sin(theta)])
-
-
-def _disk(g: np.random.Generator, n: int, cx: float, cy: float, r: float) -> np.ndarray:
-    theta = g.uniform(0.0, 2 * np.pi, n)
-    rad = r * np.sqrt(g.random(n))
     return np.column_stack([cx + rad * np.cos(theta), cy + rad * np.sin(theta)])
 
 

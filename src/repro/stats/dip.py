@@ -1,7 +1,7 @@
 """Hartigan & Hartigan (1985) dip test of unimodality, from scratch.
 
-The container has no scipy/diptest, so this is a 0-indexed Python port of
-the classic Fortran/C algorithm (Hartigan's AS 217 as revised in Martin
+scipy and diptest are not dependencies, so this is a 0-indexed port of the
+classic Fortran/C algorithm (Hartigan's AS 217 as revised in Martin
 Maechler's ``diptest`` package): the dip statistic is the maximum
 difference between the empirical CDF and the closest unimodal CDF,
 computed exactly via greatest-convex-minorant / least-concave-majorant
@@ -10,10 +10,26 @@ fits over a shrinking modal interval.
 ``dip(x)`` returns the statistic; ``diptest(x)`` also returns a p-value
 against the uniform null (bootstrap, cached per sample size) and the
 modal interval — both of which SkinnyDip and DipMeans need.
+
+The algorithm runs in ``_dip.c``, a C port of ``_dip_full`` with the same
+IEEE double operations in the same order. It is compiled with the
+system's C compiler at the first dip computed (not at import) into the
+package's ``__pycache__``, under a name made from the source's hash, and
+called through ctypes. It is used only once it has reproduced
+``_dip_full`` exactly on a fixed probe set. Where there is no compiler,
+or the library cannot be built, loaded or trusted, ``_dip_full`` itself
+runs; it is also the reference the tests compare the C kernel against.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from functools import cache, lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +41,7 @@ _BOOT_SEED = 17  # the null table of reference size n is drawn from seed _BOOT_S
 
 def dip(x: np.ndarray, *, sort: bool = True) -> float:
     """Dip statistic of a 1-D sample, in [1/(2n), 0.25]. NaN or ±inf raises ValueError."""
-    d, _, _ = _dip_full(np.asarray(x, dtype=np.float64), sort=sort)
-    return d
+    return _dip(x, sort)[0]
 
 
 def diptest(x: np.ndarray, *, sort: bool = True) -> tuple[float, float, tuple[int, int]]:
@@ -37,9 +52,8 @@ def diptest(x: np.ndarray, *, sort: bool = True) -> tuple[float, float, tuple[in
     same-size uniform samples whose dip is at least as large (bootstrap
     null, table cached per ``n``).
     """
-    xs = np.asarray(x, dtype=np.float64)
-    d, lo, hi = _dip_full(xs, sort=sort)
-    p = dip_pvalue(d, xs.size)
+    d, lo, hi = _dip(x, sort)
+    p = dip_pvalue(d, np.size(x))
     return d, p, (lo, hi)
 
 
@@ -71,17 +85,108 @@ def _ref_size(n: int) -> int:  # nearest in log scale, first on a tie
 
 @lru_cache(maxsize=16)
 def _boot_table(n: int, n_boot: int) -> np.ndarray:
+    # one row at a time: the same stream as g.random((n_boot, n))
     g = np.random.default_rng(_BOOT_SEED + n)
-    u = g.random((n_boot, n))
-    u.sort(axis=1)
-    return np.sort(np.array([_dip_full(row, sort=False)[0] for row in u]))
+    return np.sort([_dip(np.sort(g.random(n)), False)[0] for _ in range(n_boot)])
+
+
+_SRC = Path(__file__).with_name("_dip.c")
+_CACHE = _SRC.parent / "__pycache__"
+_CC = ("cc", "gcc", "clang")  # the first found on PATH builds the kernel
+# no -ffast-math or -march=native: either may reorder or fuse the operations
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _dip(x: np.ndarray, sort: bool) -> tuple[float, int, int]:
+    """``_dip_full(x, sort=sort)``, from the C kernel where there is one."""
+    kernel = _kernel()
+    if kernel is None:
+        return _dip_full(x, sort=sort)
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    if sort:
+        x = np.sort(x, kind="mergesort")
+    if x.size and (out := _run(kernel, x)) is not None:
+        return out
+    return _dip_full(x, sort=False)  # it raises, or takes a case the kernel leaves to it
+
+
+def _run(kernel, x: np.ndarray) -> tuple[float, int, int] | None:
+    """The kernel on a sorted, contiguous float64 sample of size >= 1; None
+    for the cases it leaves to ``_dip_full`` (see ``_dip.c``)."""
+    d, bounds = ctypes.c_double(), (ctypes.c_int64 * 2)()
+    if kernel(x.ctypes.data, x.size, ctypes.byref(d), bounds) != 0:
+        return None
+    return d.value, bounds[0], bounds[1]
+
+
+@cache
+def _kernel():
+    """``_dip.c``'s ``dip_full``, or None where it cannot be built, loaded
+    or trusted."""
+    try:
+        fn = _load(_build())
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if any(_run(fn, x) != _dip_full(x, sort=False) for x in _probes()):
+        return None
+    return fn
+
+
+def _load(lib: Path):
+    """The library's ``dip_full``, with its C signature declared."""
+    fn = ctypes.CDLL(str(lib)).dip_full
+    fn.argtypes = (
+        ctypes.c_void_p,
+        ctypes.c_int64,
+        ctypes.POINTER(ctypes.c_double),
+        ctypes.POINTER(ctypes.c_int64),
+    )
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _build() -> Path:
+    """The compiled kernel's path; compiles it if it is not there yet."""
+    tag = hashlib.sha256(_SRC.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib = _CACHE / f"_dip-{tag}.so"
+    if lib.exists():
+        return lib
+    cc = next(filter(None, map(shutil.which, _CC)), None)
+    if cc is None:
+        raise FileNotFoundError("no C compiler on PATH")
+    _CACHE.mkdir(exist_ok=True)
+    # a private name, then an atomic rename: concurrent first uses are safe
+    fd, tmp = tempfile.mkstemp(prefix=lib.stem, suffix=".tmp", dir=_CACHE)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, str(_SRC)], check=True, capture_output=True, timeout=120
+        )
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _probes():
+    """Sorted samples the C kernel must reproduce ``_dip_full`` on exactly:
+    the degenerate sizes, a constant sample, and uniform, tied and bimodal
+    samples."""
+    yield from (np.zeros(1), np.arange(2.0), np.arange(3.0), np.ones(6))
+    g = np.random.default_rng(0)
+    for n in (4, 5, 50, 1000):
+        yield np.sort(g.random(n))
+        yield np.sort(g.integers(0, 6, n).astype(np.float64))
+        yield np.sort(np.concatenate([g.normal(-2.0, 0.5, n // 2), g.normal(2.0, 0.5, n - n // 2)]))
 
 
 def _dip_full(x: np.ndarray, *, sort: bool = True) -> tuple[float, int, int]:
     """Core algorithm. Returns (dip, low, high) with low/high sorted-indices.
 
-    Runs on Python lists, several times faster than numpy scalars, with the
-    same IEEE operations in the same order."""
+    The reference for ``_dip.c``, and the path taken where that cannot be
+    built: it runs on Python lists, several times faster than numpy
+    scalars, with the same IEEE operations in the same order."""
     x = np.asarray(x, dtype=np.float64).ravel()
     n = x.size
     if n < 1:

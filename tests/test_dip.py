@@ -1,6 +1,11 @@
 """Unit tests for the from-scratch Hartigan dip test."""
 from __future__ import annotations
 
+import shutil
+import subprocess
+import threading
+from functools import cache, lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,8 @@ def _sample(kind: str, n: int, seed: int) -> np.ndarray:
         return g.normal(0.0, 1.0, n)
     if kind == "bimodal":
         return np.concatenate([g.normal(-2.0, 0.5, n // 2), g.normal(2.0, 0.5, n - n // 2)])
+    if kind == "equal":
+        return np.full(n, g.normal())
     return g.integers(0, 6, n).astype(np.float64)  # "ties"
 
 
@@ -222,3 +229,103 @@ class TestModalInterval:
         # the interval should sit inside one of the two modes
         vals = x[[lo, hi]]
         assert (vals < 0).all() or (vals > 0).all()
+
+
+def _built_kernel():
+    """The C kernel as built, without the probe that guards its use."""
+    try:
+        return dipmod._load(dipmod._build())
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("no C compiler here: only the Python reference runs")
+
+
+class TestCompiledKernel:
+    @given(
+        st.sampled_from(["uniform", "normal", "bimodal", "ties", "equal"]),
+        st.one_of(st.integers(1, 8), st.integers(9, 3000)),
+        st.integers(0, 10**6),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, kind, n, seed, presorted):
+        kernel = _built_kernel()
+        x = _sample(kind, n, seed)
+        if presorted:
+            x = np.sort(x)
+        want = _dip_full(x, sort=not presorted)
+        assert dipmod._run(kernel, np.sort(x, kind="mergesort")) == want
+        assert dipmod._dip(x, not presorted) == want
+
+    @pytest.mark.parametrize("kind,n,d,lo,hi", _PINNED, ids=[f"{k}-{n}" for k, n, *_ in _PINNED])
+    def test_pinned_exact(self, kind, n, d, lo, hi):
+        assert dipmod._run(_built_kernel(), np.sort(_sample(kind, n, n))) == (d, lo, hi)
+
+    def test_concurrent_first_builds(self, tmp_path, monkeypatch):
+        # each thread compiles under a private name; one library is left
+        if not any(map(shutil.which, dipmod._CC)):
+            pytest.skip("no C compiler here")
+        monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
+        paths, errors = [], []
+
+        def build():
+            try:
+                paths.append(dipmod._build())
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(set(paths)) == 1 and sorted(tmp_path.iterdir()) == [paths[0]]
+
+
+def _no_compiler(tmp_path, monkeypatch):
+    monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+
+
+def _build_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
+    monkeypatch.setattr(dipmod, "_CFLAGS", (*dipmod._CFLAGS, "-fno-such-flag"))
+
+
+def _load_fails(tmp_path, monkeypatch):
+    (tmp_path / "bad.so").write_bytes(b"not a shared library")
+    monkeypatch.setattr(dipmod, "_build", lambda: tmp_path / "bad.so")
+
+
+def _kernel_differs(tmp_path, monkeypatch):
+    # a kernel one ulp off the reference fails the probe
+    src = dipmod._SRC.read_text().replace(
+        "*dip = dip_value;", "*dip = dip_value * (1.0 + 0x1p-52);"
+    )
+    assert "0x1p-52" in src
+    (tmp_path / "_dip.c").write_text(src)
+    monkeypatch.setattr(dipmod, "_SRC", tmp_path / "_dip.c")
+    monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
+
+
+class TestReferenceFallback:
+    @pytest.mark.parametrize(
+        "fail", [_no_compiler, _build_fails, _load_fails, _kernel_differs],
+        ids=["no-compiler", "build-fails", "load-fails", "kernel-differs"],
+    )
+    def test_same_values(self, fail, tmp_path, monkeypatch):
+        kind, n, d, lo, hi = _PINNED[14]
+        x = _sample(kind, n, n)
+        want = diptest(x)
+        assert (want[0], want[2]) == (d, (lo, hi))
+        # a fresh kernel and fresh null tables, so both run after the failure
+        monkeypatch.setattr(dipmod, "_kernel", cache(dipmod._kernel.__wrapped__))
+        monkeypatch.setattr(
+            dipmod, "_boot_table", lru_cache(maxsize=16)(dipmod._boot_table.__wrapped__)
+        )
+        fail(tmp_path, monkeypatch)
+        assert dipmod._kernel() is None
+        assert dip(x) == d
+        assert diptest(x) == want
+        got = tuple(dip_pvalue(c / np.sqrt(99), 99, n_boot=500) for c in _P_SCALES)
+        assert list(map(repr, got)) == list(map(repr, _P_PINNED[500, 99]))

@@ -149,7 +149,7 @@ class TestDipMeansExact:
         # cluster, and gives the same labels
         X = blobs3[0] if name == "blobs3" else uci_like.make(name)[0]
         calls = []
-        monkeypatch.setattr(dipmeans_mod, "dip", lambda row: calls.append(1) or dip(row))
+        monkeypatch.setattr(dipmeans_mod, "dip", lambda row, **kw: calls.append(1) or dip(row, **kw))
         labels = dipmeans(X)
         n_race = len(calls)
         calls.clear()
