@@ -42,7 +42,13 @@ def _gauss_bits(pts: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return -log_pdf * _LOG2E
 
 
-def _noise_bits(n_dims: int, box_lo: np.ndarray, box_hi: np.ndarray) -> float:
+def _fit_bits(pts: np.ndarray) -> np.ndarray:
+    """Per-point code length (bits) under the Gaussian fitted to ``pts``."""
+    cov = np.cov(pts.T) if pts.shape[1] > 1 else np.var(pts)
+    return _gauss_bits(pts, pts.mean(axis=0), np.atleast_2d(cov))
+
+
+def _noise_bits(box_lo: np.ndarray, box_hi: np.ndarray) -> float:
     """Per-point code length under a uniform model over the bounding box."""
     span = np.maximum(box_hi - box_lo, 1e-12)
     return float(np.log2(span).sum())
@@ -61,7 +67,7 @@ def ric(X: np.ndarray) -> np.ndarray:
     k0 = max(2, min(10, int(np.sqrt(n / 10))))  # the generous preliminary k
     labels, _ = kmeans_np(X, k0, seed=_SEED)
     lo, hi = X.min(axis=0), X.max(axis=0)
-    noise_rate = _noise_bits(d, lo, hi)
+    noise_rate = _noise_bits(lo, hi)
 
     for _ in range(_MAX_ROUNDS):
         # --- purification ---------------------------------------------
@@ -70,10 +76,7 @@ def ric(X: np.ndarray) -> np.ndarray:
             if len(idx) <= d + 1:
                 labels[idx] = -1
                 continue
-            pts = X[idx]
-            mu = pts.mean(axis=0)
-            cov = np.cov(pts.T) if d > 1 else np.atleast_2d(np.var(pts))
-            bits = _gauss_bits(pts, mu, np.atleast_2d(cov))
+            bits = _fit_bits(X[idx])
             labels[idx[bits > noise_rate]] = -1
 
         ks = np.unique(labels[labels >= 0])
@@ -81,26 +84,13 @@ def ric(X: np.ndarray) -> np.ndarray:
             break
         # --- merging: best pair by MDL saving -------------------------
         best = None
-        stats = {}
-        for j in ks:
-            pts = X[labels == j]
-            cov = np.cov(pts.T) if d > 1 else np.atleast_2d(np.var(pts))
-            stats[j] = (pts, pts.mean(axis=0), np.atleast_2d(cov))
+        pts = {j: X[labels == j] for j in ks}
+        own = {j: _fit_bits(pts[j]).sum() for j in ks}
         for a_i, a in enumerate(ks):
             for b in ks[a_i + 1 :]:
-                pa, mua, cova = stats[a]
-                pb, mub, covb = stats[b]
-                sep = (
-                    _gauss_bits(pa, mua, cova).sum()
-                    + _gauss_bits(pb, mub, covb).sum()
-                    + 2 * _model_cost_bits(len(pa) + len(pb), d)
-                )
-                both = np.vstack([pa, pb])
-                muj = both.mean(axis=0)
-                covj = np.cov(both.T) if d > 1 else np.atleast_2d(np.var(both))
-                joint = _gauss_bits(both, muj, np.atleast_2d(covj)).sum() + _model_cost_bits(
-                    len(both), d
-                )
+                both = np.vstack([pts[a], pts[b]])
+                sep = own[a] + own[b] + 2 * _model_cost_bits(len(both), d)
+                joint = _fit_bits(both).sum() + _model_cost_bits(len(both), d)
                 saving = sep - joint
                 if saving > 0 and (best is None or saving > best[0]):
                     best = (saving, a, b)

@@ -20,13 +20,14 @@ JVM call each, with quoted column names, so any input column name works;
 the cell columns take names no input column has.
 
 Every choice but the grid scale follows from the data (the paper's notion
-of "parameter-free"): one DWT level; CDF(2,2) at d <= 2 and the fanout-1
-Haar filter above, because an L-tap filter multiplies the sparse-cell count
-by up to ceil(L/2) per dimension pass; the elbow's stage and the
-components' adjacency by d. The scale defaults to `scale=128` for the 2-D
-experiments and coarser grids for higher d. An unset scale at d > 4 runs
-steps 2-4 at three scales (most clusters wins), each a coarsening of the
-one collected grid, so the N objects are still read three times.
+of "parameter-free"), and the module that applies a choice makes it from
+d: one DWT level, with CDF(2,2) at d <= 2 and the fanout-1 Haar filter
+above (`core.wavelet`); the elbow's stage and when there is no elbow to
+cut at (`core.threshold`); the components' adjacency (`core.components`).
+The scale defaults to `scale=128` for the 2-D experiments and coarser
+grids for higher d (`core.quantize.auto_scale`). An unset scale at d > 4
+runs steps 2-4 at three scales (most clusters wins), each a coarsening of
+the one collected grid, so the N objects are still read three times.
 """
 from __future__ import annotations
 
@@ -39,11 +40,11 @@ from pyspark.sql import functions as F
 
 from repro.core.cells import unique_rows
 from repro.core.components import connected_components
-from repro.core.quantize import GridSpec, assign_cells, auto_params, fit_grid, grid_densities, quote
+from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities, quote
 from repro.core.threshold import elbow_threshold
 from repro.core.wavelet import dwt_spark
 
-__all__ = ["AdaWaveModel", "adawave", "auto_params"]
+__all__ = ["AdaWaveModel", "adawave"]
 
 _EPS_COEF = 1e-9  # "wavelet coefficients close to zero" cutoff (paper step 2)
 # components below this share of the kept density mass become noise: the
@@ -57,7 +58,6 @@ class AdaWaveModel:
     """Everything AdaWave derived from the data, for inspection/tests."""
 
     spec: GridSpec
-    wavelet: str
     threshold: float
     n_clusters: int
     n_grid_cells: int
@@ -80,8 +80,8 @@ def adawave(
     cluster ``-1``; clusters are labeled ``0..k-1`` in first-appearance
     order of their cells in the lexicographically sorted grid collection
     (deterministic). ``scale=None`` picks the scale from the data; at d > 4
-    that is the :func:`auto_params` scale or one of its power-of-two
-    neighbours, whichever finds the most clusters. Every other choice
+    that is the :func:`~repro.core.quantize.auto_scale` scale or one of its
+    power-of-two neighbours, whichever finds the most clusters. Every other choice
     follows from d (see the module docstring). With ``keep_model=True``
     also returns the :class:`AdaWaveModel`.
     """
@@ -126,34 +126,18 @@ def _cluster_grid(
     its lookup table (rows of transformed cell, cluster) for ``adawave`` to
     join on."""
     d, spec = spec.d, replace(spec, scale=spec.scale >> k)
-    wavelet = auto_params(d)[1]
     # -- step 2: coarsen and transform the grid (numpy) --------------------
     grid, inv = unique_rows(grid >> k)
     counts = np.bincount(inv, weights=counts, minlength=len(grid))
-    tcells, tdens = dwt_spark(grid, counts, wavelet)
+    tcells, tdens = dwt_spark(grid, counts)
 
     # -- step 2b/3: coefficient denoising + adaptive threshold -------------
     n_transformed = len(tdens)
     nonzero = tdens > _EPS_COEF
     tcells, tdens = tcells[nonzero], tdens[nonzero]
     dens = np.sort(tdens)[::-1]
-    if len(dens) < 8 or (len(dens) and dens[0] <= 4 * dens[-1]):
-        # too few occupied cells, or a near-flat density curve: there is
-        # no signal/noise split to find (typical of coarse high-d grids) —
-        # keep everything rather than elbow on structureless data
-        t = float(dens[-1]) - 1.0 if len(dens) else 0.0
-    else:
-        # 2-D noisy grids have a dominant signal/noise corner (stage 1);
-        # coarse high-d grids have no uniform-noise plateau, and the first
-        # corner would amputate minority clusters — cut at the second,
-        # gentler corner instead (the paper's literal three-segment read)
-        t = elbow_threshold(dens, stage=1 if d <= 2 else 2)
+    t = elbow_threshold(dens, d)
     kept = tdens > t
-    if len(tdens) and not kept.any():
-        # a degenerate elbow (e.g. all-equal densities) must not erase the
-        # data — fall back to keeping every non-zero cell
-        t = float(dens[-1]) - 1.0
-        kept[:] = True
     kcells, kdens = tcells[kept], tdens[kept]
 
     # -- step 4: connected components over surviving cells -----------------
@@ -170,7 +154,6 @@ def _cluster_grid(
 
     model = AdaWaveModel(
         spec=spec,
-        wavelet=wavelet,
         threshold=float(t),
         n_clusters=int(labels.max()) + 1 if len(labels) else 0,
         n_grid_cells=len(grid),

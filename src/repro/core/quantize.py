@@ -28,7 +28,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 __all__ = [
-    "GridSpec", "auto_params", "cell_cols", "quote", "double_literal",
+    "GridSpec", "auto_scale", "cell_cols", "quote", "double_literal",
     "fit_grid", "assign_cells", "grid_densities",
 ]
 
@@ -55,33 +55,31 @@ class GridSpec:
         return max((span if span > 0 else 1.0) / self.scale, math.ulp(0.0))
 
 
-def auto_params(d: int, n: int | None = None) -> tuple[int, str]:
-    """(scale, wavelet) defaults by dimensionality and data size.
+def auto_scale(d: int, n: int | None = None) -> int:
+    """The default grid scale by dimensionality and data size.
 
-    2-D uses the paper's default scale=128 with a CDF(2,2) transform —
-    shrunk towards sqrt(n) when the dataset is small, so cell densities
-    stay statistically meaningful (with the paper's ~30k-point benchmark
-    this stays exactly 128). Higher dimensions use coarser grids (cell
-    count would otherwise exceed the point count) and Haar, whose fanout of
-    one keeps the sparse transform size bounded by the input.
+    2-D uses the paper's default scale=128 — shrunk towards sqrt(n) when
+    the dataset is small, so cell densities stay statistically meaningful
+    (with the paper's ~30k-point benchmark this stays exactly 128). Higher
+    dimensions use coarser grids: the cell count would otherwise exceed
+    the point count.
     """
     if d <= 2:
-        scale = 128
         if n is not None and n > 0:
             # round *up*: a too-fine grid degrades gracefully (sparser
             # cells), a too-coarse one merges adjacent clusters outright
-            scale = int(min(128, max(16, 2 ** int(np.ceil(np.log2(max(4.0, np.sqrt(n))))))))
-        return scale, "cdf2.2"
+            return int(min(128, max(16, 2 ** int(np.ceil(np.log2(max(4.0, np.sqrt(n))))))))
+        return 128
     if d <= 4:
-        return 16, "haar"
+        return 16
     if d <= 10:
         # more data supports a finer grid: occupied-cell count is bounded
         # by n, and the finer grid resolves offsets the coarse one merges;
         # with only a few hundred points, cells must stay coarse or every
         # point becomes its own cell
         n_ = n or 0
-        return (16 if n_ >= 5000 else 8 if n_ >= 500 else 4), "haar"
-    return 4, "haar"
+        return 16 if n_ >= 5000 else 8 if n_ >= 500 else 4
+    return 4
 
 
 def cell_cols(d: int, taken: Iterable[str] = ()) -> list[str]:
@@ -115,7 +113,7 @@ def double_literal(x: float) -> str:
 def fit_grid(df: DataFrame, features: list[str], scale: int | None) -> GridSpec:
     """Row count and per-dimension bounds in a single aggregate pass.
 
-    ``scale=None`` picks the :func:`auto_params` scale for the dimension
+    ``scale=None`` picks the :func:`auto_scale` scale for the dimension
     count and the row count. Bounds cover finite values only (0 if none).
     """
     if scale is not None and scale < 2:
@@ -131,7 +129,7 @@ def fit_grid(df: DataFrame, features: list[str], scale: int | None) -> GridSpec:
     maxs = tuple(float(v or 0.0) for v in row[2::2])
     n = int(row[0])
     if scale is None:
-        scale = auto_params(len(features), n)[0]
+        scale = auto_scale(len(features), n)
     return GridSpec(tuple(features), mins, maxs, scale, n)
 
 

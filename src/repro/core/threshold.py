@@ -13,9 +13,10 @@ of successive point triples drops sharply ("curAngle << preAngle") but
 gives no tolerance for "sharply"; DESIGN.md § 5.2 says why that detector
 is not implemented.
 
-It takes the *descending-sorted* density array and returns the density
-value below which cells are noise (cells with density > threshold are
-kept).
+It takes the *descending-sorted* density array and the dimension count,
+and returns the density value below which cells are noise (cells with
+density > threshold are kept). Every rule for when there is no elbow to
+find, so that every cell is kept, lives here too.
 """
 from __future__ import annotations
 
@@ -25,6 +26,10 @@ __all__ = ["elbow_threshold"]
 
 # stage 2 keeps its second corner only at this normalized chord distance
 _MIN_SIGNIFICANCE = 0.3
+# fewer cells than this, or a top density at most _MIN_CONTRAST times the
+# bottom one, is too short or too flat a curve to split signal from noise
+_MIN_CELLS = 8
+_MIN_CONTRAST = 4.0
 
 
 def _chord_elbow(y: np.ndarray) -> tuple[int, float]:
@@ -49,35 +54,39 @@ def _chord_elbow(y: np.ndarray) -> tuple[int, float]:
     return i, float(dist[i])
 
 
-def elbow_threshold(densities_desc: np.ndarray, *, stage: int = 1) -> float:
-    """Kneedle elbow on the descending density curve.
+def elbow_threshold(densities_desc: np.ndarray, d: int) -> float:
+    """Kneedle elbow on the descending density curve of a d-dim grid.
 
-    ``stage=1`` (default) returns the density at the dominant corner of the
-    curve — empirically the signal/noise breakpoint on wavelet-smoothed
-    grids (see EXPERIMENTS.md). ``stage=2`` re-runs the detector on the
-    tail past the first corner to find a distinct middle/noise corner
-    (the literal reading of the paper's three-segment Fig. 6), falling
-    back to stage 1 when that second corner is not significant
+    At d <= 2 (stage 1) it returns the density at the dominant corner of
+    the curve — empirically the signal/noise breakpoint on
+    wavelet-smoothed 2-D noisy grids (see EXPERIMENTS.md). Coarse high-d
+    grids have no uniform-noise plateau, and that first corner would
+    amputate minority clusters; so at d > 2 (stage 2) the detector re-runs
+    on the tail past the first corner to find a distinct middle/noise
+    corner (the literal reading of the paper's three-segment Fig. 6),
+    falling back to the first corner when the second is not significant
     (normalized chord distance below ``_MIN_SIGNIFICANCE``).
 
-    If the curve is degenerate (flat or too short) a value below the
-    minimum density is returned so no cell is filtered.
+    Empty input gives 0.0. When the curve has fewer than ``_MIN_CELLS``
+    cells, is near flat (top ≤ ``_MIN_CONTRAST`` · bottom, typical of
+    coarse high-d grids) or has no point below its chord, a value below
+    the minimum density is returned, so no cell is filtered. Otherwise the
+    threshold is a curve value strictly below the top one, so at least one
+    cell is kept.
     """
     y = np.asarray(densities_desc, dtype=np.float64)
     if y.size == 0:
         return 0.0
-    if y.size < 3 or y[0] == y[-1]:
-        return float(y[-1]) - 1.0  # keep everything
+    keep_all = float(y[-1]) - 1.0
+    if y.size < _MIN_CELLS or y[0] <= _MIN_CONTRAST * y[-1]:
+        return keep_all
     i1, s1 = _chord_elbow(y)
     if s1 <= 0:
-        return float(y[-1]) - 1.0
-    if stage == 1:
+        return keep_all
+    if d <= 2:
         return float(y[i1])
-    if stage != 2:
-        raise ValueError(f"stage must be 1 or 2, got {stage}")
     tail = y[i1:]
     i2, s2 = _chord_elbow(tail)
     if s2 >= _MIN_SIGNIFICANCE and i2 > 0:
         return float(tail[i2])
     return float(y[i1])
-

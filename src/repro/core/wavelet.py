@@ -1,12 +1,12 @@
-"""Wavelet filter banks and the sparse d-dimensional low-pass DWT.
+"""The sparse d-dimensional low-pass DWT and its two filters.
 
 AdaWave only ever keeps the *average* subband (the LL…L approximation), so
 the transform reduces to: convolve with the low-pass analysis filter and
 downsample by 2, once per dimension — one level of Mallat's algorithm
 restricted to the scale space. The container has no PyWavelets, so the
 analysis low-pass coefficients are hard-coded from the literature. There
-are two filters, and the dimension count picks one
-(:func:`repro.core.quantize.auto_params`): CDF(2,2) at d <= 2, Haar above.
+are two filters, and the dimension count picks one (:func:`_filter`):
+CDF(2,2) at d <= 2, Haar above.
 
 Two implementations, cross-checked in tests:
 
@@ -20,64 +20,35 @@ Two implementations, cross-checked in tests:
   on the M ≪ N cells; the name is the pipeline stage's, under which
   ``perfbench/tracing.py`` times it.
 
-Filters are center-aligned so that the dominant tap maps original cell
-``i`` to transformed cell ``floor(i / 2)`` — which is exactly the lookup
-table AdaWave needs to map objects back from the transformed space.
+A filter is its low-pass analysis taps and a center tap, aligned so that
+the center tap maps original cell ``i`` to transformed cell ``floor(i / 2)``
+— which is exactly the lookup table AdaWave needs to map objects back from
+the transformed space. Tap ``m`` sends cell ``i`` to output
+``(i + center - m) / 2`` when that is integral.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.cells import unique_rows
 
-__all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_spark"]
+__all__ = ["dwt_dense", "dwt_spark"]
 
 _SQRT2 = float(np.sqrt(2.0))
 
-
-@dataclass(frozen=True)
-class Wavelet:
-    """A low-pass analysis filter with a center tap for phase alignment.
-
-    ``taps[center]`` is the tap that keeps cell ``i`` at output ``i // 2``;
-    output index for tap ``m`` is ``(i + center - m) / 2`` when integral.
-    """
-
-    name: str
-    taps: tuple[float, ...]
-    center: int
+# Haar: a cell reaches one output cell per pass (fanout 1), which high-d
+# data needs: CDF(2,2) reaches up to 3, so 3^d per level on a sparse grid.
+_HAAR = ((1.0 / _SQRT2, 1.0 / _SQRT2), 0)
+# Cohen-Daubechies-Feauveau (2,2): the 5/3 LeGall analysis low-pass.
+_CDF22 = ((-0.125 * _SQRT2, 0.25 * _SQRT2, 0.75 * _SQRT2, 0.25 * _SQRT2, -0.125 * _SQRT2), 2)
 
 
-WAVELETS: dict[str, Wavelet] = {
-    # Haar: a cell reaches one output cell per pass (fanout 1), which high-d
-    # data needs: CDF(2,2) reaches up to 3, so 3^d per level on a sparse grid.
-    "haar": Wavelet("haar", (1.0 / _SQRT2, 1.0 / _SQRT2), 0),
-    # Cohen-Daubechies-Feauveau (2,2): the 5/3 LeGall analysis low-pass.
-    "cdf2.2": Wavelet(
-        "cdf2.2",
-        (
-            -0.125 * _SQRT2,
-            0.25 * _SQRT2,
-            0.75 * _SQRT2,
-            0.25 * _SQRT2,
-            -0.125 * _SQRT2,
-        ),
-        2,
-    ),
-}
+def _filter(d: int) -> tuple[tuple[float, ...], int]:
+    """(taps, center) of the filter for ``d`` dimensions."""
+    return _CDF22 if d <= 2 else _HAAR
 
 
-def get_wavelet(name: str) -> Wavelet:
-    """Resolve a wavelet by name."""
-    try:
-        return WAVELETS[name]
-    except KeyError:
-        raise ValueError(f"unknown wavelet {name!r}; available: {sorted(WAVELETS)}") from None
-
-
-def _dwt_dense_1d(a: np.ndarray, w: Wavelet, axis: int) -> np.ndarray:
+def _dwt_dense_1d(a: np.ndarray, taps: tuple[float, ...], center: int, axis: int) -> np.ndarray:
     """Low-pass + downsample along one axis of a dense array (zero padding).
 
     Array index i is grid coordinate i, as on the sparse path: output index
@@ -87,33 +58,31 @@ def _dwt_dense_1d(a: np.ndarray, w: Wavelet, axis: int) -> np.ndarray:
     n = a.shape[0]
     # reachable output coordinates: k = (i + center - m) / 2, parity-valid;
     # the smallest is ceil((center - (L-1)) / 2)
-    k_min = -((len(w.taps) - 1 - w.center) // 2)
-    k_max = (n - 1 + w.center) // 2
+    k_min = -((len(taps) - 1 - center) // 2)
+    k_max = (n - 1 + center) // 2
     out = np.zeros((k_max - k_min + 1,) + a.shape[1:], dtype=np.float64)
     for i in range(n):
-        for m, h in enumerate(w.taps):
-            num = i + w.center - m
+        for m, h in enumerate(taps):
+            num = i + center - m
             if num % 2 == 0:
                 out[num // 2 - k_min] += h * a[i]
     return np.moveaxis(out, 0, axis)
 
 
-def dwt_dense(a: np.ndarray, wavelet: str = "haar") -> np.ndarray:
+def dwt_dense(a: np.ndarray) -> np.ndarray:
     """Reference d-dim approximation-subband DWT on a dense density array.
 
     Returns only the density values (the coordinate of index 0 is
     internal); tests compare value multisets against the sparse path.
     """
-    w = get_wavelet(wavelet)
     out = np.asarray(a, dtype=np.float64)
+    taps, center = _filter(out.ndim)
     for axis in range(out.ndim):
-        out = _dwt_dense_1d(out, w, axis)
+        out = _dwt_dense_1d(out, taps, center, axis)
     return out
 
 
-def dwt_spark(
-    cells: np.ndarray, dens: np.ndarray, wavelet: str = "haar"
-) -> tuple[np.ndarray, np.ndarray]:
+def dwt_spark(cells: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sparse approximation-subband DWT of a collected grid (one level).
 
     ``cells`` is an (M, d) int64 array of occupied cells in lexicographic
@@ -121,11 +90,11 @@ def dwt_spark(
     densities; the order fixes the summation order, so the result is
     bit-reproducible. Returns the transformed cells, again in lexicographic
     order, and their densities. Transformed coordinates relate to originals
-    by ``t_j = c_j >> 1`` for the dominant tap (the lookup-table mapping).
+    by ``t_j = c_j >> 1`` for the center tap (the lookup-table mapping).
     """
-    w = get_wavelet(wavelet)
-    taps = np.asarray(w.taps)
-    offsets = w.center - np.arange(len(taps))
+    taps, center = _filter(cells.shape[1])
+    taps = np.asarray(taps)
+    offsets = center - np.arange(len(taps))
     for j in range(cells.shape[1]):
         num = cells[:, j, None] + offsets  # (M, taps): twice the output index
         src, tap = np.nonzero(num % 2 == 0)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.adawave import AdaWaveModel, adawave, auto_params
-from repro.core.wavelet import dwt_spark
+from repro.core.adawave import AdaWaveModel, adawave
+from repro.core.quantize import auto_scale
+from repro.core.wavelet import _CDF22, _HAAR, _filter, dwt_spark
 from repro.datasets import uci_like
 from repro.datasets.synthetic import paper_synthetic, to_spark
 from repro.metrics.ami import ami
@@ -42,19 +43,20 @@ class TestAutoParams:
     def test_defaults(self, d, scale, levels, wavelet):
         # scale and filter follow d; the DWT runs one level, so the label
         # join's c >> 1 is the cell the filter's dominant tap lands on
-        assert auto_params(d) == (scale, wavelet)
-        cells, dens = dwt_spark(np.full((1, d), 6), np.ones(1), wavelet)
+        assert auto_scale(d) == scale
+        assert _filter(d) is {"cdf2.2": _CDF22, "haar": _HAAR}[wavelet]
+        cells, dens = dwt_spark(np.full((1, d), 6), np.ones(1))
         assert cells[np.argmax(dens)].tolist() == [6 >> levels] * d
 
     def test_mid_d_scale_grows_with_n(self):
-        assert auto_params(9, 20_000)[0] == 16
-        assert auto_params(9, 1_000)[0] == 8
-        assert auto_params(9, 214)[0] == 4
+        assert auto_scale(9, 20_000) == 16
+        assert auto_scale(9, 1_000) == 8
+        assert auto_scale(9, 214) == 4
 
     def test_2d_scale_adapts_to_small_n(self):
-        assert auto_params(2, 1200)[0] < 128
-        assert auto_params(2, 30_000)[0] == 128  # the paper's benchmark size
-        assert auto_params(2, 10)[0] >= 16
+        assert auto_scale(2, 1200) < 128
+        assert auto_scale(2, 30_000) == 128  # the paper's benchmark size
+        assert auto_scale(2, 10) >= 16
 
 
 class TestAdaWaveBasics:
@@ -123,7 +125,6 @@ class TestAdaWaveBasics:
         out, model = adawave(df, ["x0", "x1"], keep_model=True)
         assert isinstance(model, AdaWaveModel)
         assert model.spec.scale == 64  # auto: sqrt(1200) rounded up to a power of 2
-        assert model.wavelet == "cdf2.2"
         assert model.n_kept_cells <= model.n_transformed_cells
         assert model.n_clusters >= 1
         assert model.densities_sorted[0] >= model.densities_sorted[-1]

@@ -1,7 +1,12 @@
 """Integration tests for the experiment harnesses (reduced sizes)."""
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -162,18 +167,39 @@ class TestOptions:
             dbscan_sweep: ["X", "labels_true", "eps_grid", "eval_mask"],
             diptest: ["x", "sort"],
             dip_pvalue: ["d", "n", "n_boot"],
-            dwt_dense: ["a", "wavelet"],
-            dwt_spark: ["cells", "dens", "wavelet"],
-            elbow_threshold: ["densities_desc", "stage"],
+            dwt_dense: ["a"],
+            dwt_spark: ["cells", "dens"],
+            elbow_threshold: ["densities_desc", "d"],
             run_algo: ["spark", "algo", "X", "y", "k_true", "eval_mask", "assign_noise"],
             run_table1: ["spark", "datasets", "algorithms", "roadmap_n"],
             run_fig8: ["spark", "gammas", "algorithms", "n_per_cluster"],
             run_fig10: ["spark", "total_sizes", "algorithms"],
             run_table2: ["spark"],
             AdaWaveModel: [
-                "spec", "wavelet", "threshold", "n_clusters", "n_grid_cells",
+                "spec", "threshold", "n_clusters", "n_grid_cells",
                 "n_transformed_cells", "n_kept_cells", "densities_sorted", "labeled_cells",
             ],
         }
         got = {f: list(inspect.signature(f).parameters) for f in want}
         assert {f.__name__: p for f, p in got.items()} == {f.__name__: p for f, p in want.items()}
+
+
+class TestBenchmarkNames:
+    """The benchmark finds the program by name; a rename must fail here, not
+    only when the benchmark runs (its own tests are not collected with these)."""
+
+    def test_traced_names_resolve(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+        spec.loader.exec_module(tracing)
+        names = [(m, a) for table in (tracing.CHAINED, tracing.NESTED)
+                 for m, attrs in table.items() for a in attrs]
+        assert names
+        for mod_name, attr in names:
+            assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+
+    def test_model_fields_the_benchmark_reads(self):
+        fields = {f.name for f in dataclasses.fields(AdaWaveModel)}
+        assert {"n_clusters", "n_grid_cells", "n_transformed_cells", "n_kept_cells"} <= fields

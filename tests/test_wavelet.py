@@ -4,57 +4,45 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.wavelet import WAVELETS, dwt_dense, dwt_spark, get_wavelet
+from repro.core.wavelet import _CDF22, _HAAR, _dwt_dense_1d, _filter, dwt_dense, dwt_spark
 
-ALL_WAVELETS = sorted(WAVELETS)
-# each filter's index in the four-filter list these tests once seeded their
-# random grids from (with db2 and CDF(4,2)), so every case keeps its data
-_SEED = {"cdf2.2": 0, "haar": 3}
+FILTERS = pytest.mark.parametrize("w", [_CDF22, _HAAR], ids=["cdf2.2", "haar"])
 
 
 class TestFilterBanks:
-    @pytest.mark.parametrize("name", ALL_WAVELETS)
-    def test_lowpass_sum_is_sqrt2(self, name):
+    @FILTERS
+    def test_lowpass_sum_is_sqrt2(self, w):
         # every orthonormal/biorthogonal analysis low-pass sums to sqrt(2)
-        w = WAVELETS[name]
-        assert sum(w.taps) == pytest.approx(np.sqrt(2.0), abs=1e-10)
+        assert sum(w[0]) == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
-    @pytest.mark.parametrize("name", ["haar"])
-    def test_orthonormal_filters_unit_energy(self, name):
-        w = WAVELETS[name]
-        assert sum(h * h for h in w.taps) == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("w", [_HAAR], ids=["haar"])
+    def test_orthonormal_filters_unit_energy(self, w):
+        assert sum(h * h for h in w[0]) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("name", ALL_WAVELETS)
-    def test_center_in_range(self, name):
-        w = WAVELETS[name]
-        assert 0 <= w.center < len(w.taps)
+    @FILTERS
+    def test_center_in_range(self, w):
+        taps, center = w
+        assert 0 <= center < len(taps)
 
     def test_haar_fanout_one(self):
         # one input cell reaches one output cell per pass, at either parity
         for cell in range(4):
-            cells, _ = dwt_spark(np.array([[cell]]), np.array([1.0]), "haar")
-            assert cells.tolist() == [[cell // 2]]
+            cells, _ = dwt_spark(np.full((1, 3), cell), np.array([1.0]))
+            assert cells.tolist() == [[cell // 2] * 3]
 
-    @pytest.mark.parametrize("name,fanout", [("cdf2.2", 3)])
-    def test_fanouts(self, name, fanout):
-        # the most output cells one input cell reaches in a pass: why d > 2 uses Haar
-        reach = [len(dwt_spark(np.array([[c]]), np.array([1.0]), name)[0]) for c in range(4)]
+    @pytest.mark.parametrize("w,fanout", [(_CDF22, 3)], ids=["cdf2.2-3"])
+    def test_fanouts(self, w, fanout):
+        # the most output cells one 1-D input cell reaches in a pass: why d > 2 uses Haar
+        assert _filter(1) is w
+        reach = [len(dwt_spark(np.array([[c]]), np.array([1.0]))[0]) for c in range(4)]
         assert max(reach) == fanout
-
-    def test_get_wavelet_by_name_and_passthrough(self):
-        # a name resolves to the registered filter itself
-        assert get_wavelet("haar") is WAVELETS["haar"]
-
-    def test_get_wavelet_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown wavelet"):
-            get_wavelet("sym9")
 
 
 class TestDenseDWT:
     def test_haar_1d_pairs_average(self):
         # haar low-pass of [a, b] -> (a + b)/sqrt(2) at the paired index
         a = np.array([2.0, 4.0, 6.0, 8.0])
-        out = dwt_dense(a, "haar")
+        out = _dwt_dense_1d(a, *_HAAR, axis=0)
         nz = out[out != 0]
         assert np.allclose(sorted(nz), sorted([(2 + 4) / np.sqrt(2), (6 + 8) / np.sqrt(2)]))
 
@@ -62,15 +50,15 @@ class TestDenseDWT:
         # each haar pass multiplies the total mass by 1/sqrt(2) per dim
         g = np.random.default_rng(0)
         a = g.random((8, 8))
-        out = dwt_dense(a, "haar")
+        out = _dwt_dense_1d(_dwt_dense_1d(a, *_HAAR, axis=0), *_HAAR, axis=1)
         assert out.sum() == pytest.approx(a.sum() / 2.0)  # two dims
 
-    @pytest.mark.parametrize("name", ALL_WAVELETS)
-    def test_constant_signal_stays_flat_inside(self, name):
+    @FILTERS
+    def test_constant_signal_stays_flat_inside(self, w):
         # a constant region maps to a constant region (per pass scaled by
         # sum(taps at each parity) = sqrt(2)/... for haar exactly)
         a = np.ones(64)
-        out = dwt_dense(a, name)
+        out = _dwt_dense_1d(a, *w, axis=0)
         interior = out[4:-4]
         assert np.allclose(interior, interior[0])
 
@@ -79,17 +67,9 @@ class TestDenseDWT:
         # coefficient is spike * (center tap)^2 for an even-aligned spike
         a = np.zeros((16, 16))
         a[8, 8] = 100.0
-        out = dwt_dense(a, "cdf2.2")
+        out = dwt_dense(a)
         assert out.max() == pytest.approx(100.0 * (0.75 * np.sqrt(2)) ** 2)
         assert (np.abs(out) > 1e-12).sum() > 1  # it did spread
-
-
-def _sparse_cases():
-    # "1-" is the one DWT level; the 3-D cases carry a "-3d" suffix
-    for d in (2, 3):
-        for name in ALL_WAVELETS:
-            suffix = "" if d == 2 else "-3d"
-            yield pytest.param(d, name, id=f"1-{name}{suffix}")
 
 
 def _grid(a):
@@ -99,19 +79,25 @@ def _grid(a):
 
 
 class TestSparseSparkDWT:
-    @pytest.mark.parametrize("d,name", _sparse_cases())
-    def test_sparse_matches_dense_values(self, d, name):
-        g = np.random.default_rng([d, 1, _SEED[name]])
+    # the (d, filter) pairs the program runs; each grid keeps the seed it
+    # had when every filter ran at every d ("1-" is the one DWT level)
+    @pytest.mark.parametrize(
+        "d,w,seed",
+        [pytest.param(2, _CDF22, 0, id="1-cdf2.2"), pytest.param(3, _HAAR, 3, id="1-haar-3d")],
+    )
+    def test_sparse_matches_dense_values(self, d, w, seed):
+        assert _filter(d) is w
+        g = np.random.default_rng([d, 1, seed])
         shape = (12,) * d if d == 2 else (8,) * d
         a = np.where(g.random(shape) < 0.3, g.random(shape) * 10, 0.0)
         if a.sum() == 0:
             a[(3,) * d] = 5.0
-        dense = dwt_dense(a, name)
-        cells, dens = dwt_spark(*_grid(a), name)
+        dense = dwt_dense(a)
+        cells, dens = dwt_spark(*_grid(a))
         assert np.array_equal(np.lexsort(cells.T[::-1]), np.arange(len(cells)))
         got = np.sort(dens[np.abs(dens) > 1e-9])
         want = np.sort(dense[np.abs(dense) > 1e-9].ravel())
-        assert np.allclose(got, want, atol=1e-9), f"{name} d{d}"
+        assert np.allclose(got, want, atol=1e-9), f"d{d}"
 
     def test_deterministic(self):
         # bit-identical, lexicographically sorted output however the
@@ -120,27 +106,28 @@ class TestSparseSparkDWT:
         a = np.where(g.random((16, 16)) < 0.4, g.random((16, 16)), 0.0)
         cells, dens = _grid(a)
         cells_f, dens_s = np.asfortranarray(cells), np.repeat(dens, 2)[::2]
-        c1, d1 = dwt_spark(cells, dens, "cdf2.2")
-        c2, d2 = dwt_spark(cells_f, dens_s, "cdf2.2")
+        c1, d1 = dwt_spark(cells, dens)
+        c2, d2 = dwt_spark(cells_f, dens_s)
         assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
         assert np.array_equal(np.lexsort(c1.T[::-1]), np.arange(len(c1)))
         assert np.array_equal(cells, _grid(a)[0]) and np.array_equal(dens, _grid(a)[1])
 
     def test_haar_output_count_never_grows(self):
         g = np.random.default_rng(1)
-        a = np.where(g.random((16, 16)) < 0.1, 1.0, 0.0)
+        a = np.where(g.random((8, 8, 8)) < 0.1, 1.0, 0.0)
         n_in = int((a != 0).sum())
-        cells, _ = dwt_spark(*_grid(a), "haar")
+        cells, _ = dwt_spark(*_grid(a))
         assert len(cells) <= n_in
 
     def test_1d_sparse(self):
-        cells, dens = dwt_spark(np.array([[0], [1], [5]]), np.array([1.0, 1.0, 2.0]), "haar")
-        # cells 0,1 pair into output 0; cell 5 (odd) pairs into output 2
-        assert cells[:, 0].tolist() == [0, 2]
-        assert np.allclose(dens, [2 / np.sqrt(2), 2 / np.sqrt(2)])
+        cells, dens = dwt_spark(np.array([[0], [1], [5]]), np.array([1.0, 1.0, 2.0]))
+        # CDF(2,2) taps sqrt(2)·(-1/8, 1/4, 3/4, 1/4, -1/8): cell 0 lands on
+        # -1, 0, 1 (center tap at 0), cell 1 on 0 and 1, odd cell 5 on 2 and 3
+        assert cells[:, 0].tolist() == [-1, 0, 1, 2, 3]
+        assert np.allclose(dens, np.sqrt(2) * np.array([-0.125, 1.0, 0.125, 0.5, 0.5]))
 
     def test_3d_haar(self):
-        cells, dens = dwt_spark(np.array([[0, 0, 0], [1, 1, 1]]), np.array([4.0, 4.0]), "haar")
+        cells, dens = dwt_spark(np.array([[0, 0, 0], [1, 1, 1]]), np.array([4.0, 4.0]))
         # both cells map to transformed cell (0,0,0); mass 8 / sqrt(2)^3
         assert cells.tolist() == [[0, 0, 0]]
         assert dens[0] == pytest.approx(8.0 / 2 ** 1.5)
