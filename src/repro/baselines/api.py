@@ -25,7 +25,11 @@ _MAX_ITER = 100  # Lloyd iterations per restart
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(len(A), len(B)) matrix of squared Euclidean distances."""
-    aa = (A * A).sum(axis=1)[:, None]
+    return _sq_dists(A, (A * A).sum(axis=1)[:, None], B)
+
+
+def _sq_dists(A: np.ndarray, aa: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``pairwise_sq_dists(A, B)`` given A's squared norms as a column ``aa``."""
     bb = (B * B).sum(axis=1)[None, :]
     d = aa + bb - 2.0 * (A @ B.T)
     np.maximum(d, 0.0, out=d)
@@ -48,15 +52,15 @@ def _extend_labels(X: np.ndarray, sample: np.ndarray, sub_labels: np.ndarray) ->
     return labels
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(X: np.ndarray, xx: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:
     n = len(X)
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[g.integers(n)]
-    d2 = pairwise_sq_dists(X, centers[:1]).ravel()
+    d2 = _sq_dists(X, xx, centers[:1]).ravel()
     for i in range(1, k):
         p = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[i] = X[g.choice(n, p=p)]
-        d2 = np.minimum(d2, pairwise_sq_dists(X, centers[i : i + 1]).ravel())
+        d2 = np.minimum(d2, _sq_dists(X, xx, centers[i : i + 1]).ravel())
     return centers
 
 
@@ -68,13 +72,14 @@ def kmeans_np(X: np.ndarray, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.n
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
     k = min(k, n)
+    xx = (X * X).sum(axis=1)[:, None]  # the squared norms, once for every distance pass
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for r in range(_N_INIT):
         g = np.random.default_rng(seed + 1000 * r)
-        centers = _kmeanspp_init(X, k, g)
+        centers = _kmeanspp_init(X, xx, k, g)
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(_MAX_ITER):
-            d2 = pairwise_sq_dists(X, centers)
+            d2 = _sq_dists(X, xx, centers)
             new_labels = d2.argmin(axis=1)
             if (new_labels == labels).all() and _ > 0:
                 break
@@ -82,10 +87,10 @@ def kmeans_np(X: np.ndarray, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.n
             for j in range(k):
                 pts = X[labels == j]
                 if len(pts):
-                    centers[j] = pts.mean(axis=0)
+                    centers[j] = pts.sum(axis=0) / len(pts)  # pts.mean(axis=0)'s operations
                 else:  # re-seed empty cluster at the farthest point
                     centers[j] = X[d2.min(axis=1).argmax()]
-        inertia = float(pairwise_sq_dists(X, centers).min(axis=1).sum())
+        inertia = float(_sq_dists(X, xx, centers).min(axis=1).sum())
         if best is None or inertia < best[0]:
             best = (inertia, labels.copy(), centers.copy())
     assert best is not None

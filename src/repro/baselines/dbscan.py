@@ -181,7 +181,13 @@ def dbscan_sweep(
         raise ValueError("eps_grid is empty")
     X = np.asarray(X, dtype=np.float64)
     best: tuple[np.ndarray, float, float] | None = None
+    last = None
     for eps, lab in zip(eps_values, _sweep_labels(X, eps_values)):
+        # the AMI is a function of the labels and an equal score never
+        # replaces the best, so the labels of the last eps again change nothing
+        if last is not None and np.array_equal(lab, last):
+            continue
+        last = lab
         score = ami(labels_true[eval_mask], lab[eval_mask])
         if best is None or score > best[2]:
             best = (lab, eps, score)

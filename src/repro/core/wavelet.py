@@ -8,17 +8,14 @@ analysis low-pass coefficients are hard-coded from the literature. There
 are two filters, and the dimension count picks one (:func:`_filter`):
 CDF(2,2) at d <= 2, Haar above.
 
-Two implementations, cross-checked in tests:
-
-- :func:`dwt_dense` — numpy reference on a dense d-dim density array.
-- :func:`dwt_spark` — the production path on the sparse ``{cell: density}``
-  grid that :func:`repro.core.quantize.grid_densities` collected: each
-  non-zero cell is repeated over the filter taps, taps whose output index
-  is non-integral are dropped (the downsample-by-2 parity mask), and
-  contributions to one output cell are merged with
-  :func:`repro.core.cells.unique_rows` + ``np.bincount``. It runs in numpy
-  on the M ≪ N cells; the name is the pipeline stage's, under which
-  ``perfbench/tracing.py`` times it.
+:func:`dwt_spark` runs on the sparse ``{cell: density}`` grid that
+:func:`repro.core.quantize.grid_densities` collected: each non-zero cell
+is repeated over the filter taps, taps whose output index is non-integral
+are dropped (the downsample-by-2 parity mask), and contributions to one
+output cell are merged with :func:`repro.core.cells.unique_rows` +
+``np.bincount``. It runs in numpy on the M ≪ N cells; the name is the
+pipeline stage's, under which ``perfbench/tracing.py`` times it. The
+tests check it against a dense numpy reference (``tests/oracles.py``).
 
 A filter is its low-pass analysis taps and a center tap, aligned so that
 the center tap maps original cell ``i`` to transformed cell ``floor(i / 2)``
@@ -32,7 +29,7 @@ import numpy as np
 
 from repro.core.cells import unique_rows
 
-__all__ = ["dwt_dense", "dwt_spark"]
+__all__ = ["dwt_spark"]
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -46,40 +43,6 @@ _CDF22 = ((-0.125 * _SQRT2, 0.25 * _SQRT2, 0.75 * _SQRT2, 0.25 * _SQRT2, -0.125 
 def _filter(d: int) -> tuple[tuple[float, ...], int]:
     """(taps, center) of the filter for ``d`` dimensions."""
     return _CDF22 if d <= 2 else _HAAR
-
-
-def _dwt_dense_1d(a: np.ndarray, taps: tuple[float, ...], center: int, axis: int) -> np.ndarray:
-    """Low-pass + downsample along one axis of a dense array (zero padding).
-
-    Array index i is grid coordinate i, as on the sparse path: output index
-    k - k_min holds transformed coordinate k.
-    """
-    a = np.moveaxis(a, axis, 0)
-    n = a.shape[0]
-    # reachable output coordinates: k = (i + center - m) / 2, parity-valid;
-    # the smallest is ceil((center - (L-1)) / 2)
-    k_min = -((len(taps) - 1 - center) // 2)
-    k_max = (n - 1 + center) // 2
-    out = np.zeros((k_max - k_min + 1,) + a.shape[1:], dtype=np.float64)
-    for i in range(n):
-        for m, h in enumerate(taps):
-            num = i + center - m
-            if num % 2 == 0:
-                out[num // 2 - k_min] += h * a[i]
-    return np.moveaxis(out, 0, axis)
-
-
-def dwt_dense(a: np.ndarray) -> np.ndarray:
-    """Reference d-dim approximation-subband DWT on a dense density array.
-
-    Returns only the density values (the coordinate of index 0 is
-    internal); tests compare value multisets against the sparse path.
-    """
-    out = np.asarray(a, dtype=np.float64)
-    taps, center = _filter(out.ndim)
-    for axis in range(out.ndim):
-        out = _dwt_dense_1d(out, taps, center, axis)
-    return out
 
 
 def dwt_spark(cells: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-/* Hartigan & Hartigan (1985) dip statistic: the loop of dip.py::_dip_full.
+/* Hartigan & Hartigan (1985) dip statistic: the loop of dip.py::_dip_full,
+ * for one sample (dip_full) or for each row of a matrix (dip_rows).
  *
  * The same IEEE double operations in the same order as the Python
  * reference, with int64 indices, so the two return identical
@@ -198,4 +199,15 @@ int dip_full(const double *x, int64_t n, double *dip, int64_t *bounds)
 done:
     free(mn);
     return status;
+}
+
+/* x: rows samples of n >= 1 doubles each, row after row, each in ascending
+ * order. Writes each row's dip to out, or NaN for a row dip_full leaves to
+ * the reference. */
+void dip_rows(const double *x, int64_t rows, int64_t n, double *out)
+{
+    int64_t bounds[2];
+    for (int64_t r = 0; r < rows; r++)
+        if (dip_full(x + r * n, n, out + r, bounds) != 0)
+            out[r] = NAN;
 }

@@ -9,16 +9,20 @@ fits over a shrinking modal interval.
 
 ``dip(x)`` returns the statistic; ``diptest(x)`` also returns a p-value
 against the uniform null (bootstrap, cached per sample size) and the
-modal interval — both of which SkinnyDip and DipMeans need.
+modal interval — both of which SkinnyDip and DipMeans need. Given a 2-D
+array, ``dip`` returns one statistic per row, from one kernel call, and
+``dip_pvalue`` takes an array of dips of one sample size: DipMeans tests
+all of a cluster's viewers that way.
 
 The algorithm runs in ``_dip.c``, a C port of ``_dip_full`` with the same
-IEEE double operations in the same order. It is compiled with the
-system's C compiler at the first dip computed (not at import) into the
-package's ``__pycache__``, under a name made from the source's hash, and
-called through ctypes. It is used only once it has reproduced
-``_dip_full`` exactly on a fixed probe set. Where there is no compiler,
-or the library cannot be built, loaded or trusted, ``_dip_full`` itself
-runs; it is also the reference the tests compare the C kernel against.
+IEEE double operations in the same order; its ``dip_rows`` loops it over
+the rows of a matrix. It is compiled with the system's C compiler at the
+first dip computed (not at import) into the package's ``__pycache__``,
+under a name made from the source's hash, and called through ctypes. It
+is used only once both entries have reproduced ``_dip_full`` exactly on a
+fixed probe set. Where there is no compiler, or the library cannot be
+built, loaded or trusted, ``_dip_full`` itself runs; it is also the
+reference the tests compare the C kernel against.
 """
 from __future__ import annotations
 
@@ -39,8 +43,12 @@ _N_BOOT = 1000  # bootstrap size of diptest's null table
 _BOOT_SEED = 17  # the null table of reference size n is drawn from seed _BOOT_SEED + n
 
 
-def dip(x: np.ndarray, *, sort: bool = True) -> float:
-    """Dip statistic of a 1-D sample, in [1/(2n), 0.25]. NaN or ±inf raises ValueError."""
+def dip(x: np.ndarray, *, sort: bool = True) -> float | np.ndarray:
+    """Dip statistic of a 1-D sample, in [1/(2n), 0.25]; of a 2-D array, an
+    array of the dips of its rows, each as ``dip(row)`` returns it. NaN or
+    ±inf raises ValueError."""
+    if np.ndim(x) == 2:
+        return _dip_rows(x, sort)
     return _dip(x, sort)[0]
 
 
@@ -60,8 +68,9 @@ def diptest(x: np.ndarray, *, sort: bool = True) -> tuple[float, float, tuple[in
 _REF_SIZES = (50, 200, 1000, 4000)
 
 
-def dip_pvalue(d: float, n: int, *, n_boot: int = _N_BOOT) -> float:
-    """Bootstrap p-value of a dip value for sample size n under uniformity.
+def dip_pvalue(d: float | np.ndarray, n: int, *, n_boot: int = _N_BOOT) -> float | np.ndarray:
+    """Bootstrap p-value of a dip value for sample size n under uniformity;
+    of an array of dips, the array of their p-values.
 
     Exact bootstrap tables are only built at a few reference sizes; other
     sizes use the asymptotic sqrt(n)-scaling of the dip distribution
@@ -69,13 +78,15 @@ def dip_pvalue(d: float, n: int, *, n_boot: int = _N_BOOT) -> float:
     ``dip.test``/qDiptab relies on), so the expensive null simulation runs
     once per reference size, not once per distinct n.
     """
+    d = np.asarray(d, dtype=np.float64)
     if n < 4:
-        return 1.0
-    ref = _ref_size(n)
-    table = _boot_table(ref, int(n_boot))
-    scaled = d * np.sqrt(n / ref)
-    idx = np.searchsorted(table, scaled, side="left")
-    return float((table.size - idx) / table.size)
+        p = np.ones_like(d)
+    else:
+        ref = _ref_size(n)
+        table = _boot_table(ref, int(n_boot))
+        idx = np.searchsorted(table, d * np.sqrt(n / ref), side="left")
+        p = (table.size - idx) / table.size
+    return float(p) if p.ndim == 0 else p
 
 
 @lru_cache(maxsize=1024)
@@ -110,39 +121,72 @@ def _dip(x: np.ndarray, sort: bool) -> tuple[float, int, int]:
     return _dip_full(x, sort=False)  # it raises, or takes a case the kernel leaves to it
 
 
+def _dip_rows(x: np.ndarray, sort: bool) -> np.ndarray:
+    """``dip`` of each row of a 2-D array, from one kernel call where there
+    is a kernel."""
+    x = np.asarray(x, dtype=np.float64)
+    if sort:
+        x = np.sort(x, axis=1, kind="mergesort")
+    kernel = _kernel()
+    if kernel is None or not x.size:
+        return np.array([_dip_full(row, sort=False)[0] for row in x])
+    x = np.ascontiguousarray(x)
+    out = _rows(kernel, x)
+    for i in np.flatnonzero(np.isnan(out)):  # it raises, or takes a case the kernel leaves to it
+        out[i] = _dip_full(x[i], sort=False)[0]
+    return out
+
+
 def _run(kernel, x: np.ndarray) -> tuple[float, int, int] | None:
     """The kernel on a sorted, contiguous float64 sample of size >= 1; None
     for the cases it leaves to ``_dip_full`` (see ``_dip.c``)."""
     d, bounds = ctypes.c_double(), (ctypes.c_int64 * 2)()
-    if kernel(x.ctypes.data, x.size, ctypes.byref(d), bounds) != 0:
+    if kernel.dip_full(x.ctypes.data, x.size, ctypes.byref(d), bounds) != 0:
         return None
     return d.value, bounds[0], bounds[1]
 
 
+def _rows(kernel, x: np.ndarray) -> np.ndarray:
+    """The kernel's dip of each row of a C-contiguous float64 matrix of
+    sorted rows, with at least one column; NaN for a row it leaves to
+    ``_dip_full``."""
+    out = np.empty(len(x))
+    kernel.dip_rows(x.ctypes.data, x.shape[0], x.shape[1], out.ctypes.data)
+    return out
+
+
 @cache
 def _kernel():
-    """``_dip.c``'s ``dip_full``, or None where it cannot be built, loaded
-    or trusted."""
+    """``_dip.c`` as a library, or None where it cannot be built, loaded or
+    trusted."""
     try:
-        fn = _load(_build())
+        lib = _load(_build())
     except (OSError, subprocess.SubprocessError):
         return None
-    if any(_run(fn, x) != _dip_full(x, sort=False) for x in _probes()):
+    probes = list(_probes())
+    if any(_run(lib, x) != _dip_full(x, sort=False) for x in probes):
         return None
-    return fn
+    for n in {x.size for x in probes}:  # the probes of each size as the rows of one matrix
+        rows = np.stack([x for x in probes if x.size == n])
+        if _rows(lib, rows).tolist() != [_dip_full(x, sort=False)[0] for x in rows]:
+            return None
+    return lib
 
 
-def _load(lib: Path):
-    """The library's ``dip_full``, with its C signature declared."""
-    fn = ctypes.CDLL(str(lib)).dip_full
-    fn.argtypes = (
+def _load(path: Path) -> ctypes.CDLL:
+    """The library, with the C signatures of ``dip_full`` and ``dip_rows``
+    declared."""
+    lib = ctypes.CDLL(str(path))
+    lib.dip_full.argtypes = (
         ctypes.c_void_p,
         ctypes.c_int64,
         ctypes.POINTER(ctypes.c_double),
         ctypes.POINTER(ctypes.c_int64),
     )
-    fn.restype = ctypes.c_int
-    return fn
+    lib.dip_full.restype = ctypes.c_int
+    lib.dip_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+    lib.dip_rows.restype = None
+    return lib
 
 
 def _build() -> Path:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.api import assign_nearest, kmeans_np, pairwise_sq_dists
+from repro.datasets import uci_like
+from tests.oracles import kmeans_np_reference
 
 
 class TestPairwise:
@@ -61,6 +63,29 @@ class TestKMeansNp:
         X = np.vstack([g.normal(c, 0.1, (50, 2)) for c in [(0, 0), (9, 9)]])
         labels, _ = kmeans_np(X, 2, seed=0)
         assert len(np.unique(labels)) == 2
+
+
+def _kmeans_cases():
+    """(X, k): blobs, ties that leave clusters empty, k above n, 1-D, and
+    Table I data."""
+    g = np.random.default_rng(8)
+    yield pytest.param(np.vstack([g.normal(c, 0.3, (80, 3)) for c in (0, 2, 4)]), 3, id="blobs")
+    yield pytest.param(g.integers(0, 3, (60, 2)).astype(np.float64), 7, id="ties")
+    yield pytest.param(g.random((3, 2)), 5, id="k-above-n")
+    yield pytest.param(g.normal(0, 1, (200, 1)), 4, id="1d")
+    for name in ("iris", "wholesale"):
+        yield pytest.param(uci_like.make(name)[0], 6, id=name)
+
+
+class TestKMeansReference:
+    @pytest.mark.parametrize("seed", [0, 23, 1001])
+    @pytest.mark.parametrize("X,k", list(_kmeans_cases()))
+    def test_bit_identical(self, X, k, seed):
+        # the norms kept across distance passes change no label and no bit of a center
+        labels, centers = kmeans_np(X, k, seed=seed)
+        want_labels, want_centers = kmeans_np_reference(X, k, seed=seed)
+        assert np.array_equal(labels, want_labels)
+        assert centers.tobytes() == want_centers.tobytes()
 
 
 class TestAssignNearest:

@@ -14,6 +14,7 @@ from repro.baselines.dbscan import (
     dbscan,
     dbscan_sweep,
 )
+from repro.datasets import uci_like
 from repro.metrics.ami import ami
 
 
@@ -254,6 +255,27 @@ def _sweep_oracle(X, labels_true, eps_grid):
         if clustered.any() and np.bincount(lab[clustered]).max() >= 0.95 * len(X):
             break
     return best, ran
+
+
+class TestSweepScoresOncePerLabelling:
+    """The sweep scores a labelling equal to the last eps's once; the result
+    is that of scoring every eps."""
+
+    @pytest.mark.parametrize("name", ["motor", "iris"])
+    def test_matches_scoring_every_eps(self, name, monkeypatch):
+        X, y = uci_like.make(name)
+        # unit-scaled with the widened grid, as run_algo runs it
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        X = (X - lo) / np.where(hi > lo, hi - lo, 1.0)
+        grid = EPS_GRID * np.sqrt(max(1.0, X.shape[1] / 2.0))
+        want, ran = _sweep_oracle(X, y, grid)
+        labellings = [dbscan(X, float(eps), MIN_PTS) for eps in grid[:ran]]
+        distinct = 1 + sum(not np.array_equal(a, b) for a, b in zip(labellings, labellings[1:]))
+        scored = []
+        monkeypatch.setattr(dbscan_mod, "ami", lambda t, p: scored.append(p) or ami(t, p))
+        got = dbscan_sweep(X, y, eps_grid=grid)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert len(scored) == distinct < ran
 
 
 def _brute_sweep_cases():

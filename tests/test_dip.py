@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import threading
 from functools import cache, lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -172,6 +173,57 @@ class TestDipStatistic:
             diptest(x)
 
 
+def _matrix(kind: str, rows: int, n: int, seed: int) -> np.ndarray:
+    return np.array([_sample(kind, n, seed + i) for i in range(rows)]).reshape(rows, n)
+
+
+class TestDipRows:
+    """``dip`` of a 2-D array is ``dip`` of each row, with the C kernel and
+    without it."""
+
+    @given(
+        st.sampled_from(["uniform", "normal", "bimodal", "ties", "equal"]),
+        st.integers(0, 6),
+        st.one_of(st.integers(1, 8), st.integers(9, 600)),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_row_calls(self, kind, rows, n, seed, presorted, reference):
+        M = _matrix(kind, rows, n, seed)
+        if presorted:
+            M = np.sort(M, axis=1)
+        with mock.patch.object(dipmod, "_kernel", (lambda: None) if reference else dipmod._kernel):
+            got = dip(M, sort=not presorted)
+            want = [dip(r, sort=not presorted) for r in M]
+        assert got.dtype == np.float64 and got.shape == (rows,)
+        assert list(map(repr, got.tolist())) == list(map(repr, want))
+        assert want == [_dip_full(r, sort=not presorted)[0] for r in M]
+
+    def test_kernel_runs_once_per_matrix(self, monkeypatch):
+        if dipmod._kernel() is None:
+            pytest.skip("no C kernel here")
+        calls = []
+        real = dipmod._rows
+        monkeypatch.setattr(dipmod, "_rows", lambda k, x: calls.append(x.shape) or real(k, x))
+        dip(_matrix("bimodal", 5, 40, 0))
+        assert calls == [(5, 40)]
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["kernel", "reference"])
+    def test_non_finite_row_raises(self, reference, monkeypatch):
+        if reference:
+            monkeypatch.setattr(dipmod, "_kernel", lambda: None)
+        M = _matrix("uniform", 3, 10, 0)
+        M[1, 4] = np.nan
+        with pytest.raises(ValueError, match="infinite"):
+            dip(M)
+
+    def test_empty_rows_raise(self):
+        with pytest.raises(ValueError, match="empty"):
+            dip(np.zeros((2, 0)))
+
+
 class TestDipPValue:
     def test_uniform_high_p(self):
         g = np.random.default_rng(6)
@@ -200,6 +252,15 @@ class TestDipPValue:
 
     def test_tiny_sample_p_is_one(self):
         assert dip_pvalue(0.2, 3) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 50, 99, 101, 448, 1000])
+    def test_array_equals_scalar_calls(self, n):
+        # DipMeans scores a cluster's viewers in one call
+        d = np.array([0.0, 0.3, 0.45, 0.6, 1.0, 5.0]) / np.sqrt(n)
+        got = dip_pvalue(d, n, n_boot=500)
+        assert got.dtype == np.float64 and got.shape == d.shape
+        assert list(map(repr, got.tolist())) == [repr(dip_pvalue(x, n, n_boot=500)) for x in d]
+        assert dip_pvalue(d[:0], n, n_boot=500).shape == (0,)
 
     @pytest.mark.parametrize("n_boot,n", list(_P_PINNED))
     def test_pinned_exact(self, n_boot, n):
@@ -308,10 +369,21 @@ def _kernel_differs(tmp_path, monkeypatch):
     monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
 
 
+def _rows_differ(tmp_path, monkeypatch):
+    # dip_full matches the reference but dip_rows is one ulp off: still untrusted
+    src = dipmod._SRC.read_text().replace(
+        "out[r] = NAN;\n}", "out[r] = NAN;\n    out[0] *= 1.0 + 0x1p-52;\n}"
+    )
+    assert "0x1p-52" in src
+    (tmp_path / "_dip.c").write_text(src)
+    monkeypatch.setattr(dipmod, "_SRC", tmp_path / "_dip.c")
+    monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
+
+
 class TestReferenceFallback:
     @pytest.mark.parametrize(
-        "fail", [_no_compiler, _build_fails, _load_fails, _kernel_differs],
-        ids=["no-compiler", "build-fails", "load-fails", "kernel-differs"],
+        "fail", [_no_compiler, _build_fails, _load_fails, _kernel_differs, _rows_differ],
+        ids=["no-compiler", "build-fails", "load-fails", "kernel-differs", "rows-differ"],
     )
     def test_same_values(self, fail, tmp_path, monkeypatch):
         kind, n, d, lo, hi = _PINNED[14]
@@ -326,6 +398,7 @@ class TestReferenceFallback:
         fail(tmp_path, monkeypatch)
         assert dipmod._kernel() is None
         assert dip(x) == d
+        assert dip(np.stack([x, x])).tolist() == [d, d]
         assert diptest(x) == want
         got = tuple(dip_pvalue(c / np.sqrt(99), 99, n_boot=500) for c in _P_SCALES)
         assert list(map(repr, got)) == list(map(repr, _P_PINNED[500, 99]))

@@ -22,7 +22,7 @@ from repro.baselines.skinnydip import skinnydip, unidip
 from repro.baselines.stsc import stsc
 from repro.core.adawave import AdaWaveModel
 from repro.core.threshold import elbow_threshold
-from repro.core.wavelet import dwt_dense, dwt_spark
+from repro.core.wavelet import dwt_spark
 from repro.harness.common import ALGORITHMS, run_algo
 from repro.harness.fig8 import run_fig8
 from repro.harness.fig10 import run_fig10
@@ -30,6 +30,7 @@ from repro.harness.table1 import PAPER_TABLE1, run_table1, table1_matrix
 from repro.harness.table2 import GLASS_ATTRS, PAPER_TABLE2, run_table2
 from repro.metrics.ami import ami
 from repro.stats.dip import dip_pvalue, diptest
+from tests.oracles import dwt_dense
 
 
 @pytest.fixture(scope="module")

@@ -107,13 +107,13 @@ class TestDipMeansExact:
         assert (_digest(labels), np.bincount(labels).tolist()) == _DIPMEANS_PINNED[name]
 
     def test_draws_before_tests(self, monkeypatch):
-        # however much the race skips, g ends where drawing every cluster's
+        # with a split or without, g ends where drawing every cluster's
         # viewers and then its targets, in label order, leaves it
         g = np.random.default_rng(5)
         sizes = [150, 700, 5]
         X = np.vstack([g.normal(c, 1, (m, 2)) for c, m in zip([0, 3, 9], sizes)])
         labels = np.repeat([0, 1, 2], sizes)
-        for frac in (0.01, 0.99):  # one winner early, or no winner after more tests
+        for frac in (0.01, 0.99):  # a winner, or none
             monkeypatch.setattr(dipmeans_mod, "_VIEWER_FRAC", frac)
             rng = np.random.default_rng(9)
             dipmeans_mod._split_candidate(X, labels, 3, rng)
@@ -127,7 +127,8 @@ class TestDipMeansExact:
         # equal shares: the lowest label is split, as np.argmax would pick
         g = np.random.default_rng(6)
         X = np.vstack([g.normal(0, 0.1, (40, 2)), g.normal(5, 0.1, (60, 2))])
-        monkeypatch.setattr(dipmeans_mod, "dip_pvalue", lambda *a, **kw: 0.0)  # every viewer hits
+        # every viewer hits
+        monkeypatch.setattr(dipmeans_mod, "dip_pvalue", lambda d, *a, **kw: np.zeros_like(d))
         calls = []
         real = dipmeans_mod.kmeans_np
 
@@ -145,21 +146,27 @@ class TestDipMeansExact:
 
     @pytest.mark.parametrize("name", ["blobs3", "wholesale", "dermatology"])
     def test_race_equals_full_scoring(self, name, blobs3, monkeypatch):
-        # the race makes fewer dip calls than testing every viewer of every
-        # cluster, and gives the same labels
+        # one dip call per tested cluster, on all its viewers' rows at once,
+        # gives the labels of one dip call per viewer
         X = blobs3[0] if name == "blobs3" else uci_like.make(name)[0]
         calls = []
-        monkeypatch.setattr(dipmeans_mod, "dip", lambda row, **kw: calls.append(1) or dip(row, **kw))
+        monkeypatch.setattr(
+            dipmeans_mod, "dip", lambda rows, **kw: calls.append(np.shape(rows)) or dip(rows, **kw)
+        )
         labels = dipmeans(X)
-        n_race = len(calls)
+        per_cluster = list(calls)
         calls.clear()
-        want = _dipmeans_full(X)
+        tested = []
+        want = _dipmeans_full(X, tested=tested)
         assert np.array_equal(labels, want)
-        assert n_race < len(calls)
+        assert per_cluster == tested
+        assert sum(nv for nv, _ in per_cluster) == len(calls)
 
 
-def _dipmeans_full(X, *, alpha=0.01, viewer_frac=0.01, max_k=20, seed=23):
-    """DipMeans scoring every viewer of every cluster, first argmax wins."""
+def _dipmeans_full(X, *, alpha=0.01, viewer_frac=0.01, max_k=20, seed=23, tested=None):
+    """DipMeans scoring every viewer of every cluster, first argmax wins,
+    with one dip call per viewer; appends each tested cluster's (viewers,
+    targets) to ``tested``."""
     g = np.random.default_rng(seed)
     labels = np.zeros(len(X), dtype=np.int64)
     k = 1
@@ -174,6 +181,8 @@ def _dipmeans_full(X, *, alpha=0.01, viewer_frac=0.01, max_k=20, seed=23):
             viewers = members if m <= 100 else members[g.choice(m, 100, replace=False)]
             targets = members if m <= 500 else members[g.choice(m, 500, replace=False)]
             rows = np.sqrt(pairwise_sq_dists(viewers, targets))
+            if tested is not None:
+                tested.append(rows.shape)
             p = [dipmeans_mod.dip_pvalue(dipmeans_mod.dip(r), r.size, n_boot=500) for r in rows]
             hits = sum(pj <= alpha for pj in p)
             shares.append(hits / len(viewers))
@@ -186,43 +195,6 @@ def _dipmeans_full(X, *, alpha=0.01, viewer_frac=0.01, max_k=20, seed=23):
         k += 1
         labels, _ = kmeans_np(X, k, seed=seed)
     return labels
-
-
-def _race_oracle(H: list[list[bool]], viewer_frac: float) -> int:
-    shares = [sum(row) / len(row) for row in H]
-    j = int(np.argmax(shares))
-    return j if shares[j] > viewer_frac else -1
-
-
-class TestRace:
-    """``_race`` against full scoring on random hit matrices with ties."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_same_winner_as_full_scoring(self, seed):
-        g = np.random.default_rng(seed)
-        for _ in range(500):
-            k = int(g.integers(1, 7))
-            nv = g.choice([1, 2, 3, 4, 6, 8], k).tolist()  # 1/2 = 2/4 = 3/6 = 4/8
-            H = [(g.random(n) < g.choice([0.0, 0.3, 0.5, 1.0])).tolist() for n in nv]
-            frac = float(g.choice([0.0, 0.25, 1 / 3, 0.5, 0.99]))
-            asked = []
-
-            def hit(j, i):
-                asked.append((j, i))
-                return H[j][i]
-
-            assert dipmeans_mod._race(nv, hit, frac) == _race_oracle(H, frac)
-            for j in range(k):  # each viewer at most once, in order
-                mine = [i for jj, i in asked if jj == j]
-                assert mine == list(range(len(mine)))
-
-    def test_skips_certain_losers(self):
-        # cluster 0 reaches 3 of 4 hits; cluster 1 (one hit in its first
-        # two viewers, then none) can reach at most 3/4 and has the higher label
-        H = [[True, True, True, False], [True, False, False, False]]
-        asked = []
-        assert dipmeans_mod._race([4, 4], lambda j, i: asked.append((j, i)) or H[j][i], 0.1) == 0
-        assert len(asked) < 8
 
 
 class TestRIC:

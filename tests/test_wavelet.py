@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.wavelet import _CDF22, _HAAR, _dwt_dense_1d, _filter, dwt_dense, dwt_spark
+from repro.core.wavelet import _CDF22, _HAAR, _filter, dwt_spark
+from tests.oracles import _dwt_dense_1d, dwt_dense
 
 FILTERS = pytest.mark.parametrize("w", [_CDF22, _HAAR], ids=["cdf2.2", "haar"])
 
