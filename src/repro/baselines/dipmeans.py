@@ -11,8 +11,7 @@ candidate remains.
 Every viewer of every cluster is tested: a cluster's viewer-to-target
 distances are one matrix, and all its viewers' dips come from one call of
 the C dip kernel (``repro.stats.dip``), their p-values from one vectorised
-table lookup. On the four ``comparators_table1`` inputs at row-order seed
-1 that is 2 712 dips per pass, in one kernel call per tested cluster.
+table lookup.
 
 Distances within large clusters are subsampled (``_MAX_VIEWERS`` viewers,
 ``_MAX_TARGETS`` targets) to keep the O(|c|^2) dip stage bounded; this is

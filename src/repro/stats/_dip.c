@@ -1,5 +1,5 @@
 /* Hartigan & Hartigan (1985) dip statistic: the loop of dip.py::_dip_full,
- * for one sample (dip_full) or for each row of a matrix (dip_rows).
+ * run on each row of a matrix by dip_rows, the library's one entry.
  *
  * The same IEEE double operations in the same order as the Python
  * reference, with int64 indices, so the two return identical
@@ -17,7 +17,7 @@
  * x holds NaN or an infinity (it raises), a divisor is zero (it raises
  * ZeroDivisionError), the modal interval is empty (it reads a list from
  * its end), or the work arrays cannot be allocated. */
-int dip_full(const double *x, int64_t n, double *dip, int64_t *bounds)
+static int dip_full(const double *x, int64_t n, double *dip, int64_t *bounds)
 {
     for (int64_t i = 0; i < n; i++)
         if (!isfinite(x[i]))
@@ -202,12 +202,12 @@ done:
 }
 
 /* x: rows samples of n >= 1 doubles each, row after row, each in ascending
- * order. Writes each row's dip to out, or NaN for a row dip_full leaves to
+ * order. Writes row r's dip to dips[r] and its modal interval to
+ * bounds[2r], bounds[2r+1], or NaN to dips[r] for a row dip_full leaves to
  * the reference. */
-void dip_rows(const double *x, int64_t rows, int64_t n, double *out)
+void dip_rows(const double *x, int64_t rows, int64_t n, double *dips, int64_t *bounds)
 {
-    int64_t bounds[2];
     for (int64_t r = 0; r < rows; r++)
-        if (dip_full(x + r * n, n, out + r, bounds) != 0)
-            out[r] = NAN;
+        if (dip_full(x + r * n, n, dips + r, bounds + 2 * r) != 0)
+            dips[r] = NAN;
 }

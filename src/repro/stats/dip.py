@@ -8,26 +8,28 @@ computed exactly via greatest-convex-minorant / least-concave-majorant
 fits over a shrinking modal interval.
 
 ``dip(x)`` returns the statistic; ``diptest(x)`` also returns a p-value
-against the uniform null (bootstrap, cached per sample size) and the
-modal interval — both of which SkinnyDip and DipMeans need. Given a 2-D
-array, ``dip`` returns one statistic per row, from one kernel call, and
-``dip_pvalue`` takes an array of dips of one sample size: DipMeans tests
-all of a cluster's viewers that way.
+against the uniform null (bootstrap, one table cached per reference size
+and ``n_boot``) and the modal interval — both of which SkinnyDip and
+DipMeans need. Given a 2-D array, ``dip`` returns one statistic per row,
+from one kernel call, and ``dip_pvalue`` takes an array of dips of one
+sample size: DipMeans tests all of a cluster's viewers that way.
 
 The algorithm runs in ``_dip.c``, a C port of ``_dip_full`` with the same
-IEEE double operations in the same order; its ``dip_rows`` loops it over
-the rows of a matrix. It is compiled with the system's C compiler at the
-first dip computed (not at import) into the package's ``__pycache__``,
-under a name made from the source's hash, and called through ctypes. It
-is used only once both entries have reproduced ``_dip_full`` exactly on a
-fixed probe set. Where there is no compiler, or the library cannot be
-built, loaded or trusted, ``_dip_full`` itself runs; it is also the
-reference the tests compare the C kernel against.
+IEEE double operations in the same order, whose one entry ``dip_rows``
+returns the dip and modal interval of each row of a matrix (a sample is a
+one-row matrix). It is compiled with the system's C compiler at the first
+dip computed (not at import) into the package's ``__pycache__``, under a
+name made from the source's hash, and called through ctypes once it has
+reproduced ``_dip_full`` exactly on a fixed probe set. Where there is no
+compiler, or the library cannot be built, loaded or trusted, a warning
+says why and ``_dip_full`` itself runs, several times slower; it is also
+the reference the tests compare the C kernel against.
 """
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
@@ -42,14 +44,16 @@ __all__ = ["dip", "diptest", "dip_pvalue"]
 _N_BOOT = 1000  # bootstrap size of diptest's null table
 _BOOT_SEED = 17  # the null table of reference size n is drawn from seed _BOOT_SEED + n
 
+_log = logging.getLogger(__name__)
+
 
 def dip(x: np.ndarray, *, sort: bool = True) -> float | np.ndarray:
     """Dip statistic of a 1-D sample, in [1/(2n), 0.25]; of a 2-D array, an
     array of the dips of its rows, each as ``dip(row)`` returns it. NaN or
     ±inf raises ValueError."""
     if np.ndim(x) == 2:
-        return _dip_rows(x, sort)
-    return _dip(x, sort)[0]
+        return _dips(x, sort)[0]
+    return _dips(np.asarray(x).reshape(1, -1), sort)[0].item()
 
 
 def diptest(x: np.ndarray, *, sort: bool = True) -> tuple[float, float, tuple[int, int]]:
@@ -57,12 +61,11 @@ def diptest(x: np.ndarray, *, sort: bool = True) -> tuple[float, float, tuple[in
 
     ``(lo, hi)`` are indices into the *sorted* sample delimiting the modal
     interval the algorithm converged to. The p-value is the fraction of
-    same-size uniform samples whose dip is at least as large (bootstrap
-    null, table cached per ``n``).
+    uniform samples whose dip, scaled to this sample size, is at least as
+    large (bootstrap null, see ``dip_pvalue``).
     """
-    d, lo, hi = _dip(x, sort)
-    p = dip_pvalue(d, np.size(x))
-    return d, p, (lo, hi)
+    dips, bounds = _dips(np.asarray(x).reshape(1, -1), sort)
+    return dips.item(), dip_pvalue(dips.item(), np.size(x)), tuple(bounds[0].tolist())
 
 
 _REF_SIZES = (50, 200, 1000, 4000)
@@ -98,7 +101,7 @@ def _ref_size(n: int) -> int:  # nearest in log scale, first on a tie
 def _boot_table(n: int, n_boot: int) -> np.ndarray:
     # one row at a time: the same stream as g.random((n_boot, n))
     g = np.random.default_rng(_BOOT_SEED + n)
-    return np.sort([_dip(np.sort(g.random(n)), False)[0] for _ in range(n_boot)])
+    return np.sort([dip(np.sort(g.random(n)), sort=False) for _ in range(n_boot)])
 
 
 _SRC = Path(__file__).with_name("_dip.c")
@@ -108,85 +111,43 @@ _CC = ("cc", "gcc", "clang")  # the first found on PATH builds the kernel
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _dip(x: np.ndarray, sort: bool) -> tuple[float, int, int]:
-    """``_dip_full(x, sort=sort)``, from the C kernel where there is one."""
-    kernel = _kernel()
-    if kernel is None:
-        return _dip_full(x, sort=sort)
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    if sort:
-        x = np.sort(x, kind="mergesort")
-    if x.size and (out := _run(kernel, x)) is not None:
-        return out
-    return _dip_full(x, sort=False)  # it raises, or takes a case the kernel leaves to it
-
-
-def _dip_rows(x: np.ndarray, sort: bool) -> np.ndarray:
-    """``dip`` of each row of a 2-D array, from one kernel call where there
-    is a kernel."""
+def _dips(x: np.ndarray, sort: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``_dip_full`` of each row of a 2-D array, as an array of dips and one
+    of ``(lo, hi)`` rows; from one kernel call where there is a kernel."""
     x = np.asarray(x, dtype=np.float64)
-    if sort:
-        x = np.sort(x, axis=1, kind="mergesort")
-    kernel = _kernel()
-    if kernel is None or not x.size:
-        return np.array([_dip_full(row, sort=False)[0] for row in x])
-    x = np.ascontiguousarray(x)
-    out = _rows(kernel, x)
-    for i in np.flatnonzero(np.isnan(out)):  # it raises, or takes a case the kernel leaves to it
-        out[i] = _dip_full(x[i], sort=False)[0]
-    return out
-
-
-def _run(kernel, x: np.ndarray) -> tuple[float, int, int] | None:
-    """The kernel on a sorted, contiguous float64 sample of size >= 1; None
-    for the cases it leaves to ``_dip_full`` (see ``_dip.c``)."""
-    d, bounds = ctypes.c_double(), (ctypes.c_int64 * 2)()
-    if kernel.dip_full(x.ctypes.data, x.size, ctypes.byref(d), bounds) != 0:
-        return None
-    return d.value, bounds[0], bounds[1]
-
-
-def _rows(kernel, x: np.ndarray) -> np.ndarray:
-    """The kernel's dip of each row of a C-contiguous float64 matrix of
-    sorted rows, with at least one column; NaN for a row it leaves to
-    ``_dip_full``."""
-    out = np.empty(len(x))
-    kernel.dip_rows(x.ctypes.data, x.shape[0], x.shape[1], out.ctypes.data)
-    return out
+    x = np.ascontiguousarray(np.sort(x, axis=1, kind="mergesort") if sort else x)
+    dips, bounds = np.full(len(x), np.nan), np.empty((len(x), 2), dtype=np.int64)
+    if x.shape[1] and (kernel := _kernel()) is not None:
+        kernel.dip_rows(x.ctypes.data, *x.shape, dips.ctypes.data, bounds.ctypes.data)
+    for i in np.isnan(dips).nonzero()[0]:  # it raises, or takes a case the kernel leaves to it
+        dips[i], bounds[i, 0], bounds[i, 1] = _dip_full(x[i], sort=False)
+    return dips, bounds
 
 
 @cache
 def _kernel():
     """``_dip.c`` as a library, or None where it cannot be built, loaded or
-    trusted."""
+    trusted; a warning then says why."""
     try:
-        lib = _load(_build())
-    except (OSError, subprocess.SubprocessError):
-        return None
+        lib = ctypes.CDLL(str(_build()))
+    except (OSError, subprocess.SubprocessError) as e:
+        return _fallback(f"{type(e).__name__}: {e}")
+    lib.dip_rows.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p
+    )
+    lib.dip_rows.restype = None
     probes = list(_probes())
-    if any(_run(lib, x) != _dip_full(x, sort=False) for x in probes):
-        return None
     for n in {x.size for x in probes}:  # the probes of each size as the rows of one matrix
         rows = np.stack([x for x in probes if x.size == n])
-        if _rows(lib, rows).tolist() != [_dip_full(x, sort=False)[0] for x in rows]:
-            return None
+        dips, bounds = np.empty(len(rows)), np.empty((len(rows), 2), dtype=np.int64)
+        lib.dip_rows(rows.ctypes.data, *rows.shape, dips.ctypes.data, bounds.ctypes.data)
+        if [*zip(dips.tolist(), *bounds.T.tolist())] != [_dip_full(x, sort=False) for x in rows]:
+            return _fallback(f"it differs from _dip_full on the probes of size {n}")
     return lib
 
 
-def _load(path: Path) -> ctypes.CDLL:
-    """The library, with the C signatures of ``dip_full`` and ``dip_rows``
-    declared."""
-    lib = ctypes.CDLL(str(path))
-    lib.dip_full.argtypes = (
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_int64),
-    )
-    lib.dip_full.restype = ctypes.c_int
-    lib.dip_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-    lib.dip_rows.restype = None
-    return lib
+def _fallback(reason: str) -> None:
+    _log.warning("C dip kernel not used (%s): the Python dips run, several times slower", reason)
 
 
 def _build() -> Path:
@@ -210,6 +171,9 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in _CACHE.glob("_dip-*.so"):  # builds of an earlier source or flags
+        if old != lib:
+            old.unlink(missing_ok=True)
     return lib
 
 

@@ -1,8 +1,8 @@
 """Unit tests for the from-scratch Hartigan dip test."""
 from __future__ import annotations
 
+import logging
 import shutil
-import subprocess
 import threading
 from functools import cache, lru_cache
 from unittest import mock
@@ -201,14 +201,45 @@ class TestDipRows:
         assert list(map(repr, got.tolist())) == list(map(repr, want))
         assert want == [_dip_full(r, sort=not presorted)[0] for r in M]
 
+    @given(
+        st.sampled_from(["uniform", "normal", "bimodal", "ties", "equal"]),
+        st.integers(0, 6),
+        st.one_of(st.integers(1, 8), st.integers(9, 600)),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_modal_intervals_equal_reference(self, kind, rows, n, seed, presorted, reference):
+        M = _matrix(kind, rows, n, seed)
+        if presorted:
+            M = np.sort(M, axis=1)
+        with mock.patch.object(dipmod, "_kernel", (lambda: None) if reference else dipmod._kernel):
+            dips, bounds = dipmod._dips(M, not presorted)
+        assert dips.shape == (rows,) and bounds.dtype == np.int64 and bounds.shape == (rows, 2)
+        assert _triples(dips, bounds) == [_dip_full(r, sort=not presorted) for r in M]
+
     def test_kernel_runs_once_per_matrix(self, monkeypatch):
-        if dipmod._kernel() is None:
-            pytest.skip("no C kernel here")
-        calls = []
-        real = dipmod._rows
-        monkeypatch.setattr(dipmod, "_rows", lambda k, x: calls.append(x.shape) or real(k, x))
+        # one call of the C entry per matrix; a 1-D sample is a one-row matrix
+        kernel = _built_kernel()
+        calls, real = [], kernel.dip_rows
+
+        def spy(x, rows, n, *out):
+            calls.append((rows, n))
+            return real(x, rows, n, *out)
+
+        monkeypatch.setattr(kernel, "dip_rows", spy)
         dip(_matrix("bimodal", 5, 40, 0))
-        assert calls == [(5, 40)]
+        dip(_sample("bimodal", 40, 0))
+        assert calls == [(5, 40), (1, 40)]
+
+    @pytest.mark.parametrize("sort", [False, True], ids=["presorted", "sort"])
+    def test_any_memory_layout(self, sort):
+        # the kernel reads the matrix row after row: any other layout is copied first
+        M = np.sort(_matrix("bimodal", 4, 80, 0), axis=1)
+        want = [_dip_full(r, sort=False)[0] for r in M[:, ::2]]
+        for view in (M[:, ::2], np.asfortranarray(M)[:, ::2], np.asfortranarray(M[:, ::2])):
+            assert dip(view, sort=sort).tolist() == want
 
     @pytest.mark.parametrize("reference", [False, True], ids=["kernel", "reference"])
     def test_non_finite_row_raises(self, reference, monkeypatch):
@@ -292,12 +323,26 @@ class TestModalInterval:
         assert (vals < 0).all() or (vals > 0).all()
 
 
+def _triples(dips: np.ndarray, bounds: np.ndarray) -> list[tuple[float, int, int]]:
+    return [*zip(dips.tolist(), *bounds.T.tolist())]
+
+
 def _built_kernel():
-    """The C kernel as built, without the probe that guards its use."""
-    try:
-        return dipmod._load(dipmod._build())
-    except (OSError, subprocess.SubprocessError):
+    """The C kernel; where there is a compiler, it must have been built,
+    loaded and trusted."""
+    if not any(map(shutil.which, dipmod._CC)):
         pytest.skip("no C compiler here: only the Python reference runs")
+    kernel = dipmod._kernel()
+    assert kernel is not None
+    return kernel
+
+
+def _kernel_dips(rows: np.ndarray) -> list[tuple[float, int, int]]:
+    """``(dip, lo, hi)`` of each sorted row of a matrix, every one from the
+    C entry: a row left to ``_dip_full`` fails."""
+    _built_kernel()
+    with mock.patch.object(dipmod, "_dip_full", side_effect=AssertionError("left to _dip_full")):
+        return _triples(*dipmod._dips(rows, False))
 
 
 class TestCompiledKernel:
@@ -309,23 +354,25 @@ class TestCompiledKernel:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, kind, n, seed, presorted):
-        kernel = _built_kernel()
         x = _sample(kind, n, seed)
         if presorted:
             x = np.sort(x)
         want = _dip_full(x, sort=not presorted)
-        assert dipmod._run(kernel, np.sort(x, kind="mergesort")) == want
-        assert dipmod._dip(x, not presorted) == want
+        assert _kernel_dips(np.sort(x, kind="mergesort")[None]) == [want]
+        assert diptest(x, sort=not presorted)[::2] == (want[0], want[1:])
 
     @pytest.mark.parametrize("kind,n,d,lo,hi", _PINNED, ids=[f"{k}-{n}" for k, n, *_ in _PINNED])
     def test_pinned_exact(self, kind, n, d, lo, hi):
-        assert dipmod._run(_built_kernel(), np.sort(_sample(kind, n, n))) == (d, lo, hi)
+        assert _kernel_dips(np.sort(_sample(kind, n, n))[None]) == [(d, lo, hi)]
 
     def test_concurrent_first_builds(self, tmp_path, monkeypatch):
-        # each thread compiles under a private name; one library is left
+        # each thread compiles under a private name; one library is left, and
+        # the build of an earlier source is deleted
         if not any(map(shutil.which, dipmod._CC)):
             pytest.skip("no C compiler here")
         monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
+        stale = tmp_path / "_dip-0000000000000000.so"
+        stale.write_bytes(b"")
         paths, errors = [], []
 
         def build():
@@ -341,6 +388,7 @@ class TestCompiledKernel:
             t.join(timeout=120)
         assert not any(t.is_alive() for t in threads) and errors == []
         assert len(set(paths)) == 1 and sorted(tmp_path.iterdir()) == [paths[0]]
+        assert not stale.exists()
 
 
 def _no_compiler(tmp_path, monkeypatch):
@@ -369,23 +417,18 @@ def _kernel_differs(tmp_path, monkeypatch):
     monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
 
 
-def _rows_differ(tmp_path, monkeypatch):
-    # dip_full matches the reference but dip_rows is one ulp off: still untrusted
-    src = dipmod._SRC.read_text().replace(
-        "out[r] = NAN;\n}", "out[r] = NAN;\n    out[0] *= 1.0 + 0x1p-52;\n}"
-    )
-    assert "0x1p-52" in src
-    (tmp_path / "_dip.c").write_text(src)
-    monkeypatch.setattr(dipmod, "_SRC", tmp_path / "_dip.c")
-    monkeypatch.setattr(dipmod, "_CACHE", tmp_path)
-
-
 class TestReferenceFallback:
     @pytest.mark.parametrize(
-        "fail", [_no_compiler, _build_fails, _load_fails, _kernel_differs, _rows_differ],
-        ids=["no-compiler", "build-fails", "load-fails", "kernel-differs", "rows-differ"],
+        "fail,reason",
+        [
+            (_no_compiler, "no C compiler on PATH"),
+            (_build_fails, "CalledProcessError"),
+            (_load_fails, "bad.so"),
+            (_kernel_differs, "differs from _dip_full"),
+        ],
+        ids=["no-compiler", "build-fails", "load-fails", "kernel-differs"],
     )
-    def test_same_values(self, fail, tmp_path, monkeypatch):
+    def test_same_values(self, fail, reason, tmp_path, monkeypatch, caplog):
         kind, n, d, lo, hi = _PINNED[14]
         x = _sample(kind, n, n)
         want = diptest(x)
@@ -396,9 +439,13 @@ class TestReferenceFallback:
             dipmod, "_boot_table", lru_cache(maxsize=16)(dipmod._boot_table.__wrapped__)
         )
         fail(tmp_path, monkeypatch)
+        caplog.set_level(logging.WARNING, logger=dipmod.__name__)
         assert dipmod._kernel() is None
         assert dip(x) == d
         assert dip(np.stack([x, x])).tolist() == [d, d]
         assert diptest(x) == want
         got = tuple(dip_pvalue(c / np.sqrt(99), 99, n_boot=500) for c in _P_SCALES)
         assert list(map(repr, got)) == list(map(repr, _P_PINNED[500, 99]))
+        # the slow path says once why it runs
+        [record] = [r for r in caplog.records if r.name == dipmod.__name__]
+        assert record.levelno == logging.WARNING and reason in record.getMessage()
