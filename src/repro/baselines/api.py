@@ -11,7 +11,7 @@ post-pass; the headline "k-means" baseline of the tables is the
 Spark-native ``pyspark.ml`` one in ``baselines/kmeans.py``.
 
 ``_extend_labels`` is the one 1-NN label extension: the harness extends a
-capped comparator's labels with it, and STSC its spectral sample's.
+capped comparator's labels with it.
 """
 from __future__ import annotations
 

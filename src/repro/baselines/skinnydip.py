@@ -36,6 +36,16 @@ def _mirror(x: np.ndarray, about: float) -> np.ndarray:
     return np.sort(np.concatenate([x, 2.0 * about - x]))
 
 
+def _background(x: np.ndarray, li: int, ui: int) -> float | None:
+    """Points per unit length of sorted x outside the dip core x[li..ui], or
+    None when nothing lies outside it (no points, or no span)."""
+    out_pts = li + (x.size - 1 - ui)
+    span_out = (x[li] - x[0]) + (x[-1] - x[ui])
+    if out_pts <= 0 or span_out <= 0:
+        return None
+    return out_pts / span_out
+
+
 def _mode_significant(x: np.ndarray, li: int, ui: int) -> bool:
     """Is the dip core x[li..ui] a real mode rather than a noise clump?
 
@@ -45,11 +55,9 @@ def _mode_significant(x: np.ndarray, li: int, ui: int) -> bool:
     noise flank would otherwise mint a cluster out of a random clump.
     """
     n = x.size
-    out_pts = li + (n - 1 - ui)
-    span_out = (x[li] - x[0]) + (x[-1] - x[ui])
-    if out_pts <= 0 or span_out <= 0:
+    bg = _background(x, li, ui)
+    if bg is None:
         return True  # no background to compare against: trust the mode
-    bg = out_pts / span_out
     core_span = x[ui] - x[li]
     core_pts = ui - li + 1
     core_dens = core_pts / core_span if core_span > 0 else np.inf
@@ -65,11 +73,9 @@ def _widen(x: np.ndarray, li: int, ui: int) -> tuple[float, float]:
     data outside the core.
     """
     n = x.size
-    out_pts = li + (n - 1 - ui)
-    span_out = (x[li] - x[0]) + (x[-1] - x[ui])
-    if out_pts <= 0 or span_out <= 0:
+    bg = _background(x, li, ui)
+    if bg is None:
         return float(x[0]), float(x[-1])
-    bg = out_pts / span_out  # background points per unit length
     w = max(3, n // 50)
     lo_i = li
     while lo_i - w >= 0:

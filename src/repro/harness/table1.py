@@ -50,19 +50,11 @@ def run_table1(
     *,
     datasets: list[str] | None = None,
     algorithms: tuple[str, ...] = ALGORITHMS,
-    roadmap_n: int | None = None,
 ) -> pd.DataFrame:
-    """Run the Table I experiment; returns one row per (dataset, algo).
-
-    ``roadmap_n`` shrinks the 434 874-point roadmap stand-in for quick
-    runs (tests); None keeps the paper's size.
-    """
+    """Run the Table I experiment; returns one row per (dataset, algo)."""
     rows = []
     for name in datasets or list(uci_like.DATASETS):
-        kwargs = {}
-        if name == "roadmap" and roadmap_n is not None:
-            kwargs["n_total"] = roadmap_n
-        X, y = uci_like.make(name, **kwargs)
+        X, y = uci_like.make(name)
         k_true = len(np.unique(y))
         for algo in algorithms:
             res = run_algo(spark, algo, X, y, k_true=k_true, assign_noise=True)

@@ -54,7 +54,7 @@ class TestRunAlgo:
         assert _cap_for("dbscan", 2) == 100_000  # grid path: keep density
         assert _cap_for("dbscan", 9) == 20_000  # brute-force path
         assert _cap_for("adawave", 2) is None  # never capped
-        assert _cap_for("stsc", 2) == 20_000
+        assert _cap_for("stsc", 2) == 2_000
 
     def test_unknown_algo_raises(self, spark, small_noisy):
         X, y = small_noisy
@@ -66,14 +66,22 @@ class TestRunAlgo:
         res = run_algo(spark, "adawave", X, y, k_true=5, assign_noise=True)
         assert (res.labels >= 0).all()
 
-    def test_cap_and_extension(self, spark):
+    @pytest.mark.parametrize("algo", ["dipmeans", "stsc"])
+    def test_cap_and_extension(self, spark, algo):
+        from repro.baselines.api import _extend_labels
+        from repro.harness.common import _CAP_SEED, _CAPS
+
         g = np.random.default_rng(2)
         X = np.vstack([g.normal(c, 0.05, (5000, 2)) for c in [(0, 0), (1, 1)]])
         y = np.repeat([0, 1], 5000)
-        res = run_algo(spark, "dipmeans", X, y, k_true=2)
-        assert res.capped  # 10k > 8k cap
+        res = run_algo(spark, algo, X, y, k_true=2)
+        assert res.capped  # 10k > 8k (dipmeans) and 2k (stsc) caps
         assert res.labels.shape == (len(X),)
         assert ami(y, res.labels) > 0.9
+        if algo == "stsc":  # fitted on run_algo's sample alone, extended once
+            g = np.random.default_rng(_CAP_SEED)
+            sample = np.sort(g.choice(len(X), _CAPS["stsc"], replace=False))
+            assert np.array_equal(res.labels, _extend_labels(X, sample, stsc(X[sample], 2)))
 
     def test_extend_labels_matches_full_matrix_1nn(self):
         from repro.baselines.api import _extend_labels
@@ -172,7 +180,7 @@ class TestOptions:
             dwt_spark: ["cells", "dens"],
             elbow_threshold: ["densities_desc", "d"],
             run_algo: ["spark", "algo", "X", "y", "k_true", "eval_mask", "assign_noise"],
-            run_table1: ["spark", "datasets", "algorithms", "roadmap_n"],
+            run_table1: ["spark", "datasets", "algorithms"],
             run_fig8: ["spark", "gammas", "algorithms", "n_per_cluster"],
             run_fig10: ["spark", "total_sizes", "algorithms"],
             run_table2: ["spark"],

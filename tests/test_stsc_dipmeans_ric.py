@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import repro.baselines.dipmeans as dipmeans_mod
-import repro.baselines.stsc as stsc_mod
 from repro.baselines.api import kmeans_np, pairwise_sq_dists
 from repro.baselines.dipmeans import dipmeans
 from repro.baselines.ric import ric
@@ -30,12 +29,6 @@ class TestSTSC:
         X, y = blobs3
         assert ami(y, stsc(X, 3)) > 0.95
 
-    def test_auto_k_eigengap(self, blobs3):
-        X, y = blobs3
-        labels = stsc(X)
-        assert len(np.unique(labels)) == 3
-        assert ami(y, labels) > 0.95
-
     def test_rings(self):
         # spectral clustering's signature: concentric rings with local sigma
         g = np.random.default_rng(1)
@@ -45,13 +38,6 @@ class TestSTSC:
         X = np.vstack([inner, outer]) + g.normal(0, 0.01, (800, 2))
         y = np.repeat([0, 1], 400)
         assert ami(y, stsc(X, 2)) > 0.9
-
-    def test_subsample_path(self, blobs3, monkeypatch):
-        X, y = blobs3
-        monkeypatch.setattr(stsc_mod, "_MAX_N", 100)
-        labels = stsc(X, 3)
-        assert len(labels) == len(X)
-        assert ami(y, labels) > 0.9
 
     def test_deterministic(self, blobs3):
         X, _ = blobs3
