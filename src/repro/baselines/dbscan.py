@@ -6,12 +6,13 @@ are the connected components of core points under the eps-neighbour
 relation; border points attach to any neighbouring core's cluster; the
 rest is noise (-1).
 
-Neighbour search is grid-accelerated for d <= 3 (cells of side eps; only
-the 3^d adjacent cells are scanned) and chunked brute-force otherwise —
-the paper's own automation protocol is a 20-value eps sweep, so per-run
-cost matters. ``dbscan_sweep`` reproduces that protocol: minPts =
-``MIN_PTS``, eps over ``EPS_GRID`` (or a caller's rescaled grid), best AMI
-wins.
+Neighbour search is grid-accelerated in up to three dimensions (cells of
+side eps; only the 3^d adjacent cells are scanned) and chunked
+brute-force otherwise — the paper's own automation protocol is a
+20-value eps sweep, so per-run cost matters. ``dbscan_sweep`` is that
+protocol, and the only place it is defined: each dimension mapped to
+[0, 1], minPts = ``MIN_PTS``, eps over ``EPS_GRID`` widened with the
+dimension count, best AMI wins.
 """
 from __future__ import annotations
 
@@ -37,59 +38,65 @@ EPS_GRID = np.arange(0.01, 0.201, 0.01)
 # instead of O(sum of neighbourhood sizes), which explodes in dense blobs).
 _MAX_NEIGHBORS = 64
 
-# The brute path's sweep builds the lists of as many eps values from one
-# pass of distances as fit this many list entries at _MAX_NEIGHBORS per
-# point (64 MB of src/dst): the whole 20-value grid up to n = 3276.
-# Lists built past the sweep's early stop are wasted, and at large eps they
-# cost more than a distance pass, so a batch is not the whole grid at any n.
+# The sweep asks for the lists of as many eps values at once as fit this
+# many list entries at _MAX_NEIGHBORS per point (64 MB of src/dst): the
+# whole 20-value grid up to n = 3276, one eps from n = 32 769. The brute
+# path builds a batch from one pass of distances. Lists built past the
+# sweep's early stop are wasted, and at large eps they cost more than a
+# distance pass, so a batch is not the whole grid at any n.
 _SWEEP_ENTRIES = 1 << 22
 
+# rows of the brute path's distance block
+_CHUNK = 2048
 
-def _neighbor_lists_grid(X: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, exact counts) via an eps-sized grid (d <= 3): the
-    truncated neighbour list of each point i, concatenated in order of i
-    (``src`` is i, ``dst`` the neighbour)."""
+# (src, dst, exact counts): the truncated neighbour list of each point i,
+# concatenated in order of i (``src`` is i, ``dst`` the neighbour)
+_Lists = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _neighbor_lists_grid(X: np.ndarray, eps_values: Sequence[float]) -> Iterator[_Lists]:
+    """The lists for each of ``eps_values``, via an eps-sized grid. They
+    share no work, so each is built only when the caller asks for it: a
+    sweep that stops early builds no list past its stop."""
     n, d = X.shape
-    occupied, inverse = unique_rows(np.floor(X / eps).astype(np.int64))
-    # each occupied cell's points, in increasing index order
-    runs = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), -1).reshape(-1, d)
-    # run index of each occupied cell's 3^d neighbour cells, -1 if empty
-    adjacent = find_rows(occupied, (occupied[:, None, :] + offsets).reshape(-1, d))
-    eps2 = eps * eps
-    out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    counts = np.zeros(n, dtype=np.int64)
-    for members, nb_runs in zip(runs, adjacent.reshape(len(runs), -1).tolist()):
-        cand = np.concatenate([runs[r] for r in nb_runs if r >= 0])
-        C = X[cand]
-        for i in members:
-            d2 = ((C - X[i]) ** 2).sum(axis=1)
-            nb = cand[d2 <= eps2]
-            counts[i] = nb.size
-            out[i] = nb[:_MAX_NEIGHBORS]
-    return np.repeat(np.arange(n), [a.size for a in out]), np.concatenate(out), counts
+    for eps in eps_values:
+        occupied, inverse = unique_rows(np.floor(X / eps).astype(np.int64))
+        # each occupied cell's points, in increasing index order
+        runs = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+        # run index of each occupied cell's 3^d neighbour cells, -1 if empty
+        adjacent = find_rows(occupied, (occupied[:, None, :] + offsets).reshape(-1, d))
+        eps2 = eps * eps
+        out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+        counts = np.zeros(n, dtype=np.int64)
+        for members, nb_runs in zip(runs, adjacent.reshape(len(runs), -1).tolist()):
+            cand = np.concatenate([runs[r] for r in nb_runs if r >= 0])
+            C = X[cand]
+            for i in members:
+                d2 = ((C - X[i]) ** 2).sum(axis=1)
+                nb = cand[d2 <= eps2]
+                counts[i] = nb.size
+                out[i] = nb[:_MAX_NEIGHBORS]
+        yield np.repeat(np.arange(n), [a.size for a in out]), np.concatenate(out), counts
 
 
-def _neighbor_lists_brute(
-    X: np.ndarray, eps_values: Sequence[float], chunk: int = 2048
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Same as the grid version, by chunked brute force, for each of
-    ``eps_values`` from one pass of distances; each list is in increasing
-    index order."""
+def _neighbor_lists_brute(X: np.ndarray, eps_values: Sequence[float]) -> list[_Lists]:
+    """The lists for each of ``eps_values``, by chunked brute force from one
+    pass of distances; each point's list is in increasing index order."""
     n = len(X)
     xx = (X * X).sum(axis=1)
     parts = [([], [], []) for _ in eps_values]
     # one set of chunk-sized buffers for the whole pass: fresh ones would be
     # page-faulted in again for every chunk and every eps
-    rows = min(chunk, n)
+    rows = min(_CHUNK, n)
     prod, dist, near_buf = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
-    for s in range(0, n, chunk):
-        block = X[s : s + chunk]
+    for s in range(0, n, _CHUNK):
+        block = X[s : s + _CHUNK]
         r = len(block)
         # xx_s + xx - 2 (block @ X.T), evaluated in that order
         twice = np.matmul(block, X.T, out=prod[:r])
         twice *= 2.0
-        d2 = np.add(xx[s : s + chunk, None], xx[None, :], out=dist[:r])
+        d2 = np.add(xx[s : s + _CHUNK, None], xx[None, :], out=dist[:r])
         d2 -= twice
         for eps, (src, dst, counts) in zip(eps_values, parts):
             near = np.less_equal(d2, eps * eps, out=near_buf[:r])
@@ -136,53 +143,48 @@ def _label(
     return labels
 
 
+def _sweep_lists(X: np.ndarray, eps_values: list[float]) -> Iterator[_Lists]:
+    """The neighbour lists of non-empty X for each of ``eps_values`` in turn.
+    A batch of eps values is asked for only when the caller asks for its
+    first lists."""
+    n, d = X.shape
+    neighbor_lists = _neighbor_lists_grid if d <= 3 else _neighbor_lists_brute
+    step = max(1, _SWEEP_ENTRIES // (n * _MAX_NEIGHBORS))
+    for b in range(0, len(eps_values), step):
+        yield from neighbor_lists(X, eps_values[b : b + step])
+
+
 def dbscan(X: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Labels in 0..k-1, noise = -1. Deterministic."""
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
+    n = len(X)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    lists = _neighbor_lists_grid(X, eps) if d <= 3 else _neighbor_lists_brute(X, [eps])[0]
-    return _label(n, *lists, min_pts)
-
-
-def _sweep_labels(X: np.ndarray, eps_values: list[float]) -> Iterator[np.ndarray]:
-    """``dbscan(X, eps, MIN_PTS)`` for each of ``eps_values`` in turn. On the
-    brute path a batch of eps values shares one pass of distances, and a
-    batch is built only when the caller asks for its first labels."""
-    n, d = X.shape
-    if d <= 3 or n == 0:
-        for eps in eps_values:
-            yield dbscan(X, eps, MIN_PTS)
-        return
-    step = max(1, _SWEEP_ENTRIES // (n * _MAX_NEIGHBORS))
-    for b in range(0, len(eps_values), step):
-        for lists in _neighbor_lists_brute(X, eps_values[b : b + step]):
-            yield _label(n, *lists, MIN_PTS)
+    return _label(n, *next(_sweep_lists(X, [eps])), min_pts)
 
 
 def dbscan_sweep(
-    X: np.ndarray,
-    labels_true: np.ndarray,
-    *,
-    eps_grid: np.ndarray = EPS_GRID,
-    eval_mask: np.ndarray | None = None,
+    X: np.ndarray, labels_true: np.ndarray, *, eval_mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
     """The paper's automation: minPts = ``MIN_PTS``, sweep eps, keep the best AMI.
 
-    Returns (best_labels, best_eps, best_ami). ``eval_mask`` restricts the
-    AMI computation (the synthetic experiment scores non-noise points
-    only).
+    Returns (best_labels, best_eps, best_ami), ``best_eps`` in units of the
+    [0, 1]-scaled data. ``eval_mask`` restricts the AMI computation (the
+    synthetic experiment scores non-noise points only).
     """
-    if eval_mask is None:
-        eval_mask = np.ones(len(X), dtype=bool)
-    eps_values = np.sort(np.asarray(eps_grid, dtype=np.float64)).tolist()
-    if not eps_values:
-        raise ValueError("eps_grid is empty")
     X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    if eval_mask is None:
+        eval_mask = np.ones(n, dtype=bool)
+    # EPS_GRID presumes unit-scaled data: map each dimension to [0, 1] and
+    # widen the grid with d (unit-cube diameters grow as sqrt(d))
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    X = (X - lo) / np.where(hi > lo, hi - lo, 1.0)
+    eps_values = (EPS_GRID * np.sqrt(max(1.0, d / 2.0))).tolist()
     best: tuple[np.ndarray, float, float] | None = None
     last = None
-    for eps, lab in zip(eps_values, _sweep_labels(X, eps_values)):
+    for eps, lists in zip(eps_values, _sweep_lists(X, eps_values)):
+        lab = _label(n, *lists, MIN_PTS)
         # the AMI is a function of the labels and an equal score never
         # replaces the best, so the labels of the last eps again change nothing
         if last is not None and np.array_equal(lab, last):
@@ -198,6 +200,6 @@ def dbscan_sweep(
         clustered = lab >= 0
         if clustered.any():
             top = np.bincount(lab[clustered]).max()
-            if top >= 0.95 * len(X):
+            if top >= 0.95 * n:
                 break
     return best

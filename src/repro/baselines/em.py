@@ -11,7 +11,7 @@ import numpy as np
 from pyspark.ml.clustering import GaussianMixture
 from pyspark.sql import SparkSession
 
-from repro.baselines.kmeans import _features_df
+from repro.baselines.kmeans import _fit_predict
 
 __all__ = ["em_spark"]
 
@@ -20,7 +20,4 @@ _SEED = 11
 
 def em_spark(spark: SparkSession, X: np.ndarray, k: int) -> np.ndarray:
     """Fit a k-component GMM by EM; returns MAP component labels."""
-    df = _features_df(spark, np.asarray(X, dtype=np.float64))
-    model = GaussianMixture(k=k, seed=_SEED, featuresCol="features").fit(df)
-    pred = model.transform(df).select("id", "prediction").toPandas()
-    return pred.sort_values("id")["prediction"].to_numpy(dtype=np.int64)
+    return _fit_predict(spark, X, GaussianMixture(k=k, seed=_SEED, featuresCol="features"))

@@ -34,9 +34,13 @@ def _features_df(spark: SparkSession, X: np.ndarray):
     return to_spark(spark, X).coalesce(1).withColumn("features", array_to_vector(F.array(*cols)))
 
 
+def _fit_predict(spark: SparkSession, X: np.ndarray, estimator) -> np.ndarray:
+    """Fit an MLlib clustering ``estimator`` on X; its labels aligned with rows."""
+    df = _features_df(spark, np.asarray(X, dtype=np.float64))
+    pred = estimator.fit(df).transform(df).select("id", "prediction").toPandas()
+    return pred.sort_values("id")["prediction"].to_numpy(dtype=np.int64)
+
+
 def kmeans_spark(spark: SparkSession, X: np.ndarray, k: int) -> np.ndarray:
     """Cluster rows of X into k groups; returns labels aligned with rows."""
-    df = _features_df(spark, np.asarray(X, dtype=np.float64))
-    model = KMeans(k=k, seed=_SEED, featuresCol="features").fit(df)
-    pred = model.transform(df).select("id", "prediction").toPandas()
-    return pred.sort_values("id")["prediction"].to_numpy(dtype=np.int64)
+    return _fit_predict(spark, X, KMeans(k=k, seed=_SEED, featuresCol="features"))

@@ -92,16 +92,14 @@ def _widen(x: np.ndarray, li: int, ui: int) -> tuple[float, float]:
     return float(x[max(lo_i, 0)]), float(x[min(hi_i, n - 1)])
 
 
-def unidip(
-    x: np.ndarray, *, is_modal: bool = True, guard: bool = True, _depth: int = 0
-) -> list[tuple[float, float]]:
+def unidip(x: np.ndarray, *, is_modal: bool = True, _depth: int = 0) -> list[tuple[float, float]]:
     """Modal intervals [(lo_value, hi_value), ...] of a 1-D sample.
 
-    ``guard=True`` drops a unimodal slice whose mode is statistically
-    indistinguishable from its background — right for the internal flank
-    recursions (where the slice may be pure noise after a false-positive
-    mirror test), wrong for a caller-supplied candidate-cluster slice
-    (SkinnyDip passes ``guard=False`` at the top level).
+    A recursion (``_depth > 0``) drops a unimodal slice whose mode is
+    statistically indistinguishable from its background — right for the
+    flank recursions (where the slice may be pure noise after a
+    false-positive mirror test), wrong for the caller's own sample (in
+    SkinnyDip a candidate-cluster slice).
     """
     x = np.sort(np.asarray(x, dtype=np.float64))
     n = x.size
@@ -111,13 +109,12 @@ def unidip(
     if p > _ALPHA:
         if is_modal:
             return [(float(x[0]), float(x[-1]))]
-        if guard and not _mode_significant(x, li, ui):
+        if _depth and not _mode_significant(x, li, ui):
             return []
         return [_widen(x, li, ui)]
 
-    # multimodal: recurse inside the modal interval (inherits the caller's
-    # trust level — it is a sub-slice of data the caller vouched for)
-    inner = unidip(x[li : ui + 1], is_modal=True, guard=guard, _depth=_depth + 1)
+    # multimodal: recurse inside the modal interval
+    inner = unidip(x[li : ui + 1], is_modal=True, _depth=_depth + 1)
     if not inner:
         inner = [(float(x[li]), float(x[ui]))]
     lo_edge = min(lo for lo, _ in inner)
@@ -130,12 +127,12 @@ def unidip(
     if lwing.size >= 4 and float(lwing[0]) < lo_edge:
         _, pl, _ = diptest(_mirror(lwing, float(lwing[-1])), sort=False)
         if pl <= _ALPHA:
-            out += unidip(x[x < lo_edge], is_modal=False, guard=True, _depth=_depth + 1)
+            out += unidip(x[x < lo_edge], is_modal=False, _depth=_depth + 1)
     rwing = x[x >= lo_edge]
     if rwing.size >= 4 and float(rwing[-1]) > hi_edge:
         _, pr, _ = diptest(_mirror(rwing, float(rwing[0])), sort=False)
         if pr <= _ALPHA:
-            out += unidip(x[x > hi_edge], is_modal=False, guard=True, _depth=_depth + 1)
+            out += unidip(x[x > hi_edge], is_modal=False, _depth=_depth + 1)
 
     # merge overlapping intervals, sort by position
     out.sort()
@@ -166,9 +163,10 @@ def skinnydip(X: np.ndarray) -> np.ndarray:
         vals = X[idx, dim]
         # per-dimension call uses is_modal=False: a unimodal sample then
         # yields its *modal interval* (the cluster), not the full range —
-        # this is where SkinnyDip's noise rejection comes from. guard=False:
-        # this slice is a candidate cluster, not a suspect flank.
-        for lo, hi in unidip(vals, is_modal=False, guard=False):
+        # this is where SkinnyDip's noise rejection comes from. A top-level
+        # call keeps an insignificant mode: this slice is a candidate
+        # cluster, not a suspect flank.
+        for lo, hi in unidip(vals, is_modal=False):
             inside = idx[(vals >= lo) & (vals <= hi)]
             if len(inside):
                 rec(inside, dim + 1)

@@ -55,7 +55,7 @@ class GridSpec:
         return max((span if span > 0 else 1.0) / self.scale, math.ulp(0.0))
 
 
-def auto_scale(d: int, n: int | None = None) -> int:
+def auto_scale(d: int, n: int) -> int:
     """The default grid scale by dimensionality and data size.
 
     2-D uses the paper's default scale=128 — shrunk towards sqrt(n) when
@@ -65,7 +65,7 @@ def auto_scale(d: int, n: int | None = None) -> int:
     the point count.
     """
     if d <= 2:
-        if n is not None and n > 0:
+        if n > 0:
             # round *up*: a too-fine grid degrades gracefully (sparser
             # cells), a too-coarse one merges adjacent clusters outright
             return int(min(128, max(16, 2 ** int(np.ceil(np.log2(max(4.0, np.sqrt(n))))))))
@@ -77,8 +77,7 @@ def auto_scale(d: int, n: int | None = None) -> int:
         # by n, and the finer grid resolves offsets the coarse one merges;
         # with only a few hundred points, cells must stay coarse or every
         # point becomes its own cell
-        n_ = n or 0
-        return 16 if n_ >= 5000 else 8 if n_ >= 500 else 4
+        return 16 if n >= 5000 else 8 if n >= 500 else 4
     return 4
 
 

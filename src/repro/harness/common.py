@@ -10,7 +10,9 @@
   logged via the returned ``capped`` flag) — the paper ran the authors'
   single-node implementations, we care about the comparative shape. The
   sample is drawn here only, from ``_CAP_SEED``, and the labels are
-  extended once: the comparators fit every row they are given.
+  extended once: the comparators fit every row they are given, each by
+  its own protocol (DBSCAN's unit scaling and eps sweep are
+  ``dbscan_sweep``'s), so this module only samples, fits and extends.
 - The correct k is supplied to k-means, EM and STSC, as the paper does
   for its automated baselines ("we similarly set the correct k ... to
   ensure the best AMI").
@@ -24,7 +26,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines.api import _extend_labels, assign_nearest
-from repro.baselines.dbscan import EPS_GRID, dbscan_sweep
+from repro.baselines.dbscan import dbscan_sweep
 from repro.baselines.dipmeans import dipmeans
 from repro.baselines.em import em_spark
 from repro.baselines.kmeans import kmeans_spark
@@ -38,24 +40,19 @@ __all__ = ["ALGORITHMS", "run_algo", "AlgoResult"]
 
 # fit-size caps for the super-linear comparators (see DESIGN.md § 5 /
 # EXPERIMENTS.md "caps"): algorithm -> max points fitted directly.
-# DBSCAN's cap is dimension-dependent: the d<=3 grid path is near-linear,
-# and subsampling would *change its answer* — thinning the data lowers
-# the noise density below the percolation point, hiding exactly the
-# collapse the paper reports at high noise percentages.
+# DBSCAN's cap is high because subsampling would *change its answer* —
+# thinning the data lowers the noise density below the percolation point,
+# hiding exactly the collapse the paper reports at high noise percentages.
+# Its brute-force path (d > 3) is O(n^2), but every such input the
+# experiments pass is far below the cap (Table I's largest is 17 898 rows).
 _CAPS = {
-    "dbscan": 20_000,  # d > 3 (chunked O(n^2) brute force); 100k for d <= 3
+    "dbscan": 100_000,
     "skinnydip": 50_000,
     "dipmeans": 8_000,
     "stsc": 2_000,  # a dense n x n affinity and an O(n^3) eigh
     "ric": 20_000,
 }
 _CAP_SEED = 97  # draws the capped comparators' fit sample
-
-
-def _cap_for(algo: str, d: int) -> int | None:
-    if algo == "dbscan" and d <= 3:
-        return 100_000
-    return _CAPS.get(algo)
 
 ALGORITHMS = ("adawave", "skinnydip", "dbscan", "em", "kmeans", "stsc", "dipmeans", "ric")
 
@@ -86,7 +83,7 @@ def run_algo(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n = len(X)
-    cap = _cap_for(algo, X.shape[1])
+    cap = _CAPS.get(algo)
     capped = cap is not None and n > cap
     g = np.random.default_rng(_CAP_SEED)
     sample = np.sort(g.choice(n, cap, replace=False)) if capped else np.arange(n)
@@ -102,15 +99,7 @@ def run_algo(
     elif algo == "em":
         sub = em_spark(spark, X, k_true)
     elif algo == "dbscan":
-        em_ = None if eval_mask is None else eval_mask[sample]
-        # the paper's eps grid {0.01..0.2} presumes unit-scaled data; map
-        # each dimension to [0,1] and widen the grid with dimensionality
-        # (unit-cube diameters grow as sqrt(d))
-        lo, hi = Xs.min(axis=0), Xs.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        Xn = (Xs - lo) / span
-        eps_grid = EPS_GRID * np.sqrt(max(1.0, X.shape[1] / 2.0))
-        sub, _eps, _score = dbscan_sweep(Xn, ys, eval_mask=em_, eps_grid=eps_grid)
+        sub = dbscan_sweep(Xs, ys, eval_mask=None if eval_mask is None else eval_mask[sample])[0]
     elif algo == "skinnydip":
         sub = skinnydip(Xs)
     elif algo == "stsc":

@@ -43,7 +43,7 @@ class TestAutoParams:
     def test_defaults(self, d, scale, levels, wavelet):
         # scale and filter follow d; the DWT runs one level, so the label
         # join's c >> 1 is the cell the filter's dominant tap lands on
-        assert auto_scale(d) == scale
+        assert auto_scale(d, 0) == scale  # n = 0: an empty frame
         assert _filter(d) is {"cdf2.2": _CDF22, "haar": _HAAR}[wavelet]
         cells, dens = dwt_spark(np.full((1, d), 6), np.ones(1))
         assert cells[np.argmax(dens)].tolist() == [6 >> levels] * d

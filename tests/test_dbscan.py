@@ -99,7 +99,7 @@ class TestNeighborLists:
         g = np.random.default_rng(1)
         X = g.random((300, 2))
         eps = 0.07  # sparse enough that no list hits the truncation cap
-        *grid, gc = _neighbor_lists_grid(X, eps)
+        *grid, gc = next(_neighbor_lists_grid(X, [eps]))
         *brute, bc = _neighbor_lists_brute(X, [eps])[0]
         assert np.array_equal(gc, bc)
         assert _pairs(*grid) == _pairs(*brute)
@@ -108,7 +108,7 @@ class TestNeighborLists:
         g = np.random.default_rng(2)
         X = g.random((200, 3))
         eps = 0.15
-        *grid, gc = _neighbor_lists_grid(X, eps)
+        *grid, gc = next(_neighbor_lists_grid(X, [eps]))
         *brute, bc = _neighbor_lists_brute(X, [eps])[0]
         assert np.array_equal(gc, bc)
         assert _pairs(*grid) == _pairs(*brute)
@@ -116,7 +116,7 @@ class TestNeighborLists:
     def test_self_always_neighbor(self):
         g = np.random.default_rng(3)
         X = g.random((50, 2))
-        src, dst, counts = _neighbor_lists_grid(X, 0.05)
+        src, dst, counts = next(_neighbor_lists_grid(X, [0.05]))
         assert np.array_equal(src[src == dst], np.arange(50))
         assert np.array_equal(np.bincount(src), counts)  # no truncation at this density
 
@@ -124,7 +124,7 @@ class TestNeighborLists:
         # a dense clump: exact counts must exceed the truncated list length
         g = np.random.default_rng(4)
         X = g.normal(0.5, 0.01, (300, 2))
-        src, _, counts = _neighbor_lists_grid(X, 0.2)
+        src, _, counts = next(_neighbor_lists_grid(X, [0.2]))
         assert counts.max() == 300
         assert np.bincount(src).max() <= 64
         # and the clump still comes out as ONE cluster despite truncation
@@ -140,10 +140,17 @@ class TestNeighborListsExact:
         want = _grid_oracle(X, eps)
         if kind == "truncated":
             assert want[2].max() > _MAX_NEIGHBORS
-        _assert_same_lists(_neighbor_lists_grid(X, eps), want)
+        _assert_same_lists(next(_neighbor_lists_grid(X, [eps])), want)
+
+    def test_grid_lists_per_eps(self):
+        # one call for several eps: each eps's lists equal those of its own call
+        X = np.random.default_rng(14).random((300, 2))
+        eps_values = [0.02, 0.05, 0.1]
+        for eps, lists in zip(eps_values, _neighbor_lists_grid(X, eps_values)):
+            _assert_same_lists(lists, _grid_oracle(X, eps))
 
     @pytest.mark.parametrize("d", [2, 5])
-    def test_brute_matches_rank_oracle(self, d):
+    def test_brute_matches_rank_oracle(self, d, monkeypatch):
         g = np.random.default_rng(12)
         # chunks of 100 rows: a dense clump only (every list truncated at
         # 64), clump and sparse rows, sparse rows only (none above 64)
@@ -151,7 +158,8 @@ class TestNeighborListsExact:
         want = _brute_oracle(X, 0.5, chunk=100)
         big = want[2] > _MAX_NEIGHBORS
         assert big[:150].all() and not big[150:].any()
-        _assert_same_lists(_neighbor_lists_brute(X, [0.5], chunk=100)[0], want)
+        monkeypatch.setattr(dbscan_mod, "_CHUNK", 100)
+        _assert_same_lists(_neighbor_lists_brute(X, [0.5])[0], want)
 
 
 class TestDBSCAN:
@@ -230,31 +238,58 @@ class TestSweep:
         _, _, score = dbscan_sweep(X, y, eval_mask=mask)
         assert -1e-9 <= score <= 1.0 + 1e-9  # fp slack on exact matches
 
-    def test_custom_grid(self, blobs):
-        X, y = blobs
-        _, eps, _ = dbscan_sweep(X, y, eps_grid=np.array([0.05]))
-        assert eps == 0.05
-
-    def test_empty_grid_raises(self, blobs):
-        X, y = blobs
-        with pytest.raises(ValueError, match="empty"):
-            dbscan_sweep(X, y, eps_grid=np.array([]))
+    @pytest.mark.parametrize("d", [2, 5], ids=["grid", "brute"])
+    def test_empty_input_raises(self, d):
+        with pytest.raises(ValueError):
+            dbscan_sweep(np.zeros((0, d)), np.zeros(0, dtype=np.int64))
 
 
-def _sweep_oracle(X, labels_true, eps_grid):
-    """The sweep as one ``dbscan`` call per eps, in order, with the early stop;
-    also returns how many eps values it labelled."""
-    best, ran = None, 0
-    for eps in np.sort(np.asarray(eps_grid, dtype=np.float64)):
-        lab = dbscan(X, float(eps), MIN_PTS)
-        ran += 1
+def _sweep_oracle(X, labels_true):
+    """The paper's protocol written out: each column mapped to [0, 1] on its
+    own (a constant one divided by 1), ``EPS_GRID`` widened by sqrt(d / 2)
+    past d = 2, then one ``dbscan`` call per eps in order with the early
+    stop. Returns the best (labels, eps, AMI) and the labellings it ran."""
+    n, d = X.shape
+    Xn = np.empty_like(X)
+    for j in range(d):
+        lo, hi = X[:, j].min(), X[:, j].max()
+        Xn[:, j] = (X[:, j] - lo) / (hi - lo if hi > lo else 1.0)
+    best, ran = None, []
+    for eps in (dbscan_mod.EPS_GRID * np.sqrt(max(1.0, d / 2.0))).tolist():
+        lab = dbscan(Xn, eps, MIN_PTS)
+        ran.append(lab)
         score = ami(labels_true, lab)
         if best is None or score > best[2]:
-            best = (lab, float(eps), score)
+            best = (lab, eps, score)
         clustered = lab >= 0
-        if clustered.any() and np.bincount(lab[clustered]).max() >= 0.95 * len(X):
+        if clustered.any() and np.bincount(lab[clustered]).max() >= 0.95 * n:
             break
     return best, ran
+
+
+def _assert_same_sweep(got, want):
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def _protocol_cases():
+    """(path, X, y) in raw units: motor on the grid path, and on the brute
+    path five dimensions of mixed spans, one of them constant."""
+    yield pytest.param("grid", *uci_like.make("motor"), id="grid-motor")
+    g = np.random.default_rng(15)
+    X = np.vstack([g.normal(c, 0.05, (120, 5)) for c in (0.2, 0.5, 0.8)] + [g.random((80, 5))])
+    X = X * [1.0, 10.0, 1e3, 1e-2, 0.0] + [0.0, -5.0, 40.0, 1.0, 7.0]
+    yield pytest.param("brute", X, np.repeat([0, 1, 2, 3], [120, 120, 120, 80]), id="brute-5d")
+
+
+class TestSweepProtocol:
+    """``dbscan_sweep`` applies the whole protocol to raw data."""
+
+    @pytest.mark.parametrize("path,X,y", list(_protocol_cases()))
+    def test_raw_data_matches_protocol_oracle(self, path, X, y):
+        assert (X.shape[1] <= 3) == (path == "grid")
+        want, _ = _sweep_oracle(X, y)
+        _assert_same_sweep(dbscan_sweep(X, y), want)
+        assert want[1] in (EPS_GRID * np.sqrt(max(1.0, X.shape[1] / 2.0))).tolist()
 
 
 class TestSweepScoresOncePerLabelling:
@@ -264,32 +299,25 @@ class TestSweepScoresOncePerLabelling:
     @pytest.mark.parametrize("name", ["motor", "iris"])
     def test_matches_scoring_every_eps(self, name, monkeypatch):
         X, y = uci_like.make(name)
-        # unit-scaled with the widened grid, as run_algo runs it
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        X = (X - lo) / np.where(hi > lo, hi - lo, 1.0)
-        grid = EPS_GRID * np.sqrt(max(1.0, X.shape[1] / 2.0))
-        want, ran = _sweep_oracle(X, y, grid)
-        labellings = [dbscan(X, float(eps), MIN_PTS) for eps in grid[:ran]]
+        want, labellings = _sweep_oracle(X, y)
         distinct = 1 + sum(not np.array_equal(a, b) for a, b in zip(labellings, labellings[1:]))
         scored = []
         monkeypatch.setattr(dbscan_mod, "ami", lambda t, p: scored.append(p) or ami(t, p))
-        got = dbscan_sweep(X, y, eps_grid=grid)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-        assert len(scored) == distinct < ran
+        _assert_same_sweep(dbscan_sweep(X, y), want)
+        assert len(scored) == distinct < len(labellings)
 
 
 def _brute_sweep_cases():
-    """(name, X, y, eps grid) on the brute path (d > 3), unit-scaled as run_algo does."""
+    """(name, X, y, the ``EPS_GRID`` swept) on the brute path (d > 3)."""
     g = np.random.default_rng(13)
     d = 5
-    grid = EPS_GRID * np.sqrt(d / 2.0)
     # three blobs in noise: the sweep runs to the end of the grid
     X = np.vstack([g.normal(c, 0.03, (100, d)) for c in (0.2, 0.5, 0.8)] + [g.random((60, d))])
     y = np.repeat([0, 1, 2, 3], [100, 100, 100, 60])
-    yield "blobs", X, y, grid[:8]
+    yield "blobs", X, y, EPS_GRID[:8]
     # one blob that swallows nearly every point part-way through the grid
     X = np.vstack([g.normal(0.5, 0.05, (290, d)), g.random((10, d))])
-    yield "stops-early", X, np.repeat([0, 1], [290, 10]), grid
+    yield "stops-early", X, np.repeat([0, 1], [290, 10]), EPS_GRID
 
 
 class TestSweepBatched:
@@ -298,26 +326,42 @@ class TestSweepBatched:
     @pytest.mark.parametrize("per_batch", [1, 3, 20])
     @pytest.mark.parametrize("name,X,y,grid", list(_brute_sweep_cases()))
     def test_matches_per_eps_loop(self, name, X, y, grid, per_batch, monkeypatch):
+        monkeypatch.setattr(dbscan_mod, "EPS_GRID", grid)
         monkeypatch.setattr(dbscan_mod, "_SWEEP_ENTRIES", per_batch * len(X) * _MAX_NEIGHBORS)
         real = dbscan_mod._neighbor_lists_brute
         passes = []
 
-        def spy(X_, eps_values, chunk=2048):
+        def spy(X_, eps_values):
             passes.append(len(eps_values))
-            return real(X_, eps_values, chunk=chunk)
+            return real(X_, eps_values)
 
         monkeypatch.setattr(dbscan_mod, "_neighbor_lists_brute", spy)
-        want, ran = _sweep_oracle(X, y, grid)
+        want, labellings = _sweep_oracle(X, y)
+        ran = len(labellings)
         assert (ran < len(grid)) == (name == "stops-early")
         passes.clear()
-        got = dbscan_sweep(X, y, eps_grid=grid)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        _assert_same_sweep(dbscan_sweep(X, y), want)
         # one distance pass per batch, and no batch past the early stop
         assert passes == [min(per_batch, len(grid) - b) for b in range(0, ran, per_batch)]
 
+    def test_grid_builds_no_list_past_the_stop(self, monkeypatch):
+        # the whole grid is one batch at n = 300, but the grid path has no
+        # pass to share and builds each eps's lists when the sweep asks
+        g = np.random.default_rng(16)
+        X = np.vstack([g.normal(0.5, 0.05, (290, 2)), g.random((10, 2))])
+        y = np.repeat([0, 1], [290, 10])
+        want, labellings = _sweep_oracle(X, y)
+        assert len(labellings) < len(EPS_GRID)
+        # the grid path grids the points once per eps it builds
+        real, built = dbscan_mod.unique_rows, []
+        monkeypatch.setattr(dbscan_mod, "unique_rows", lambda a: built.append(1) or real(a))
+        _assert_same_sweep(dbscan_sweep(X, y), want)
+        assert len(built) == len(labellings)
+
     @pytest.mark.parametrize("name,X,y,grid", list(_brute_sweep_cases()))
-    def test_lists_span_chunks(self, name, X, y, grid):
+    def test_lists_span_chunks(self, name, X, y, grid, monkeypatch):
         # several chunks: each eps's lists equal those of its own pass
-        got = _neighbor_lists_brute(X, grid.tolist(), chunk=64)
-        for eps, lists in zip(grid.tolist(), got):
+        monkeypatch.setattr(dbscan_mod, "_CHUNK", 64)
+        eps_values = (grid * np.sqrt(X.shape[1] / 2.0)).tolist()
+        for eps, lists in zip(eps_values, _neighbor_lists_brute(X, eps_values)):
             _assert_same_lists(lists, _brute_oracle(X, eps, chunk=64))

@@ -21,6 +21,7 @@ from repro.baselines.ric import ric
 from repro.baselines.skinnydip import skinnydip, unidip
 from repro.baselines.stsc import stsc
 from repro.core.adawave import AdaWaveModel
+from repro.core.quantize import auto_scale
 from repro.core.threshold import elbow_threshold
 from repro.core.wavelet import dwt_spark
 from repro.harness.common import ALGORITHMS, run_algo
@@ -48,13 +49,17 @@ class TestRunAlgo:
         assert res.labels.shape == (len(X),)
         assert res.seconds > 0
 
-    def test_dbscan_cap_depends_on_dimension(self):
-        from repro.harness.common import _cap_for
+    def test_dbscan_cap_covers_brute_path_inputs(self):
+        # one DBSCAN cap for every dimension: the O(n^2) brute path (d > 3)
+        # never reaches it, as every such Table I dataset is smaller
+        from repro.datasets import uci_like
+        from repro.harness.common import _CAPS
 
-        assert _cap_for("dbscan", 2) == 100_000  # grid path: keep density
-        assert _cap_for("dbscan", 9) == 20_000  # brute-force path
-        assert _cap_for("adawave", 2) is None  # never capped
-        assert _cap_for("stsc", 2) == 2_000
+        assert _CAPS["dbscan"] == 100_000
+        assert "adawave" not in _CAPS  # never capped
+        assert _CAPS["stsc"] == 2_000
+        brute = {name: n for name, (_, n, d) in uci_like.DATASETS.items() if d > 3}
+        assert brute and max(brute.values()) < _CAPS["dbscan"], brute
 
     def test_unknown_algo_raises(self, spark, small_noisy):
         X, y = small_noisy
@@ -166,19 +171,20 @@ class TestOptions:
         want = {
             dipmeans: ["X"],
             skinnydip: ["X"],
-            unidip: ["x", "is_modal", "guard", "_depth"],
+            unidip: ["x", "is_modal", "_depth"],
             stsc: ["X", "k"],
             ric: ["X"],
             kmeans_np: ["X", "k", "seed"],
             kmeans_spark: ["spark", "X", "k"],
             em_spark: ["spark", "X", "k"],
             dbscan: ["X", "eps", "min_pts"],
-            dbscan_sweep: ["X", "labels_true", "eps_grid", "eval_mask"],
+            dbscan_sweep: ["X", "labels_true", "eval_mask"],
             diptest: ["x", "sort"],
             dip_pvalue: ["d", "n", "n_boot"],
             dwt_dense: ["a"],
             dwt_spark: ["cells", "dens"],
             elbow_threshold: ["densities_desc", "d"],
+            auto_scale: ["d", "n"],
             run_algo: ["spark", "algo", "X", "y", "k_true", "eval_mask", "assign_noise"],
             run_table1: ["spark", "datasets", "algorithms"],
             run_fig8: ["spark", "gammas", "algorithms", "n_per_cluster"],
