@@ -38,8 +38,9 @@ from repro.datasets.synthetic import to_spark
 
 __all__ = ["ALGORITHMS", "run_algo", "AlgoResult"]
 
-# fit-size caps for the super-linear comparators (see DESIGN.md § 5 /
+# fit-size caps for the super-linear comparators (see DESIGN.md § 4 /
 # EXPERIMENTS.md "caps"): algorithm -> max points fitted directly.
+# SkinnyDip and RIC grow about linearly in n and fit every row.
 # DBSCAN's cap is high because subsampling would *change its answer* —
 # thinning the data lowers the noise density below the percolation point,
 # hiding exactly the collapse the paper reports at high noise percentages.
@@ -47,10 +48,8 @@ __all__ = ["ALGORITHMS", "run_algo", "AlgoResult"]
 # experiments pass is far below the cap (Table I's largest is 17 898 rows).
 _CAPS = {
     "dbscan": 100_000,
-    "skinnydip": 50_000,
     "dipmeans": 8_000,
     "stsc": 2_000,  # a dense n x n affinity and an O(n^3) eigh
-    "ric": 20_000,
 }
 _CAP_SEED = 97  # draws the capped comparators' fit sample
 

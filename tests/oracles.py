@@ -5,10 +5,16 @@
 - ``kmeans_np_reference``: ``repro.baselines.api.kmeans_np`` as it was
   before it kept the squared norms across distance passes, which it must
   still equal bit for bit.
+- ``assert_equivalent(result, sql, **tables)``: runs ``sql`` in DuckDB
+  over ``tables`` and asserts the sorted rows match ``result``, the
+  oracle of the quantization SQL.
 """
 from __future__ import annotations
 
+import duckdb
 import numpy as np
+import pandas as pd
+from pyspark.sql import DataFrame
 
 from repro.core.wavelet import _filter
 
@@ -95,3 +101,40 @@ def kmeans_np_reference(X: np.ndarray, k: int, *, seed: int = 0) -> tuple[np.nda
             best = (inertia, labels.copy(), centers.copy())
     assert best is not None
     return best[1], best[2]
+
+
+def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
+    # Canonical column order first, then row order by those columns, so
+    # two results that differ only in projection order compare equal.
+    pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
+    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
+        pdf[c] = pdf[c].round(6)
+    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
+
+
+def assert_equivalent(result: DataFrame | pd.DataFrame, sql: str, **tables) -> None:
+    """Run ``sql`` in DuckDB over ``tables``; assert its sorted rows match ``result``.
+
+    This catches wrong results from a rewritten plan or a custom operator —
+    "it ran" is not "it is correct". ``result`` and ``tables`` may be Spark
+    or pandas DataFrames; Spark ones are collected via ``.toPandas()``.
+    Alias every output column identically on both sides (Spark names
+    ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``) and project to
+    scalar columns — array/map/struct columns are not orderable so cannot
+    be compared here.
+    """
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+        expected = con.execute(sql).fetchdf()
+    finally:
+        con.close()
+    got = result.toPandas() if isinstance(result, DataFrame) else result
+    assert set(expected.columns) == set(got.columns), (
+        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
+        "— alias every output column identically on both sides"
+    )
+    pd.testing.assert_frame_equal(
+        _canon(got), _canon(expected), check_dtype=False
+    )

@@ -55,11 +55,21 @@ class TestRunAlgo:
         from repro.datasets import uci_like
         from repro.harness.common import _CAPS
 
+        assert set(_CAPS) == {"dbscan", "dipmeans", "stsc"}  # the rest fit every row
         assert _CAPS["dbscan"] == 100_000
-        assert "adawave" not in _CAPS  # never capped
         assert _CAPS["stsc"] == 2_000
         brute = {name: n for name, (_, n, d) in uci_like.DATASETS.items() if d > 3}
         assert brute and max(brute.values()) < _CAPS["dbscan"], brute
+
+    def test_skinnydip_fits_every_row(self):
+        # above the 50k cap SkinnyDip had before: one fit of all 52k rows
+        from repro.datasets.synthetic import paper_synthetic
+
+        X, y = paper_synthetic(0.75, n_per_cluster=2600)
+        assert len(X) > 50_000
+        res = run_algo(None, "skinnydip", X, y, k_true=5)
+        assert not res.capped
+        assert res.labels.shape == (len(X),)
 
     def test_unknown_algo_raises(self, spark, small_noisy):
         X, y = small_noisy
@@ -162,6 +172,11 @@ class TestFig10:
         assert len(r) == 4
         assert (r.seconds > 0).all()
         assert sorted(r.n.unique().tolist()) == [2000, 4000]
+        assert ((r.min_s <= r.seconds) & (r.seconds <= r.max_s)).all()
+        ada = r.algorithm == "adawave"
+        assert r.spark_jobs[ada].between(1, 6).all()  # TestAdaWavePlan's bound
+        assert (r.spark_jobs[~ada] == 0).all()  # DBSCAN is numpy on the driver
+        assert ((r.ingest_s > 0) == ada).all()  # to_spark is timed for AdaWave alone
 
 
 class TestOptions:

@@ -12,7 +12,7 @@ from pyspark.sql import functions as F
 from repro.core.quantize import GridSpec, assign_cells, cell_cols, fit_grid, grid_densities
 from repro.datasets import uci_like
 from repro.datasets.synthetic import to_spark
-from repro.oracle import assert_equivalent
+from tests.oracles import assert_equivalent
 
 
 @pytest.fixture(scope="module")
