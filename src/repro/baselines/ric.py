@@ -13,9 +13,13 @@ simplification keeps the decision structure and the MDL currency:
    per-parameter cost of 0.5 log2 n bits).
 
 The paper reports RIC collapsing to a single cluster (AMI ~ 0) whenever
-noise is non-trivial; this implementation exhibits the same failure mode
-because noise inflates every cluster's covariance until merging is
-always the cheaper description.
+noise is non-trivial. This implementation does not collapse; it
+over-splits. Two parts of one Gaussian that k-means cut apart code more
+cheaply under two Gaussians than under one joint Gaussian, even with the
+second model's parameters charged, so no merge fires on separated
+clusters and k stays at the k-means start ``k0`` (fewer only where
+purification empties a cluster). On two separated Gaussian blobs of
+1 000 rows each it returns k0 = 10 clusters, each inside one blob.
 """
 from __future__ import annotations
 

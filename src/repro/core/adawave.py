@@ -26,8 +26,9 @@ above (`core.wavelet`); the elbow's stage and when there is no elbow to
 cut at (`core.threshold`); the components' adjacency (`core.components`).
 The scale defaults to `scale=128` for the 2-D experiments and coarser
 grids for higher d (`core.quantize.auto_scale`). An unset scale at d > 4
-runs steps 2-4 at three scales (most clusters wins), each a coarsening of
-the one collected grid, so the N objects are still read three times.
+runs steps 2-4 at two scales, the auto scale and twice it (most clusters
+wins), both from the one grid collected at twice it, so the N objects are
+still read three times.
 """
 from __future__ import annotations
 
@@ -80,23 +81,24 @@ def adawave(
     cluster ``-1``; clusters are labeled ``0..k-1`` in first-appearance
     order of their cells in the lexicographically sorted grid collection
     (deterministic). ``scale=None`` picks the scale from the data; at d > 4
-    that is the :func:`~repro.core.quantize.auto_scale` scale or one of its
-    power-of-two neighbours, whichever finds the most clusters. Every other choice
-    follows from d (see the module docstring). With ``keep_model=True``
+    that is the :func:`~repro.core.quantize.auto_scale` scale or twice it,
+    whichever finds the most clusters. Every other choice follows from d
+    (see the module docstring). With ``keep_model=True``
     also returns the :class:`AdaWaveModel`.
     """
     d = len(features)
     spec = fit_grid(df, features, scale)  # scale-free bounds: one pass for all scales
     # d > 4: granularity depends on the unknown class spread. Keep the auto
-    # scale or a power-of-two neighbour, whichever finds the most clusters
-    # (WaveCluster's multi-resolution choice: too coarse merges classes, too
-    # fine shatters them into pruned dust). All three come from one grid at
-    # 2·auto: halving a cell width is exact in floating point, so the cells
-    # at scale s are those at 2s shifted right by one bit, last-cell clamp
-    # included. Coarsest first: max() breaks ties to the coarser grid
+    # scale or twice it, whichever finds the most clusters (WaveCluster's
+    # multi-resolution choice: too coarse merges classes, too fine shatters
+    # them into pruned dust; auto/2 found one cluster on every Table I input).
+    # Both come from one grid at 2·auto: halving a cell width is exact in
+    # floating point, so the cells at scale s are those at 2s shifted right
+    # by one bit, last-cell clamp included. Coarser first: max() breaks ties
+    # to the coarser grid
     shifts = (0,)
     if scale is None and d > 4:
-        spec, shifts = replace(spec, scale=2 * spec.scale), (2, 1, 0)
+        spec, shifts = replace(spec, scale=2 * spec.scale), (1, 0)
 
     cells = assign_cells(df, spec)
     grid, counts = grid_densities(cells, d)  # the one grid collect

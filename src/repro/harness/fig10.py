@@ -8,7 +8,7 @@ SkinnyDip (ours). n is scaled by inflating the five synthetic clusters
 with the noise percentage fixed at 75 %, exactly the paper's protocol.
 
 The repository's one runtime loop (``jobs/bench_adawave.py`` calls it):
-per (n, algorithm) one untimed warm-up call, then ``_REPEATS`` timed calls,
+per (n, algorithm) ``_WARMUPS`` untimed calls, then ``_REPEATS`` timed calls,
 each in its own Spark job group. AdaWave's frame comes from ``to_spark``,
 timed by the same loop; the MLlib rows still build theirs inside the call.
 """
@@ -34,13 +34,16 @@ DEFAULT_SIZES = (8_000, 16_000, 32_000, 64_000)
 FIG10_ALGOS = ("adawave", "kmeans", "em", "dbscan", "skinnydip")
 GAMMA = 0.75  # the noise share at every size
 _REPEATS = 3  # timed calls per (n, algorithm): the median of >= 3 warm runs
+# untimed calls before them: they pay JVM start-up, codegen and the dip null
+# table; one was not enough for the first size of a process to reach steady state
+_WARMUPS = 3
 
 
 def _timed(spark: SparkSession, call) -> tuple[list[float], list[int], object]:
     """Seconds and Spark jobs of each timed ``call()``, and its last result."""
     sc = spark.sparkContext
     secs, jobs = [], []
-    for _ in range(_REPEATS + 1):  # the first pays JVM start-up, codegen, the dip null table
+    for _ in range(_WARMUPS + _REPEATS):
         group = f"fig10-{uuid.uuid4().hex}"
         sc.setJobGroup(group, "one timed call")
         try:
@@ -51,7 +54,7 @@ def _timed(spark: SparkSession, call) -> tuple[list[float], list[int], object]:
             sc.setLocalProperty("spark.jobGroup.id", None)
         sc._jsc.sc().listenerBus().waitUntilEmpty()
         jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
-    return secs[1:], jobs[1:], out
+    return secs[_WARMUPS:], jobs[_WARMUPS:], out
 
 
 def run_fig10(

@@ -265,8 +265,8 @@ class TestAdaWaveScaleSearch:
     def test_d_over_4_keeps_the_scale_with_most_clusters(
         self, spark, wholesale, scale, found_scale, n_clusters
     ):
-        # the auto scale is 4; scale=None also tries 2 and 8, a given scale
-        # is used as is
+        # the auto scale is 4; scale=None also tries 8, a given scale is
+        # used as is
         X, _, df = wholesale
         feats = [f"x{j}" for j in range(X.shape[1])]
         _, model = adawave(df, feats, scale=scale, keep_model=True)

@@ -5,6 +5,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +34,8 @@ from repro.harness.table2 import GLASS_ATTRS, PAPER_TABLE2, run_table2
 from repro.metrics.ami import ami
 from repro.stats.dip import dip_pvalue, diptest
 from tests.oracles import dwt_dense
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +218,46 @@ class TestOptions:
         assert {f.__name__: p for f, p in got.items()} == {f.__name__: p for f, p in want.items()}
 
 
+@pytest.fixture(scope="module")
+def reproduce():
+    """``jobs/reproduce.py`` as a module (``jobs/`` is scripts, not a package)."""
+    spec = importlib.util.spec_from_file_location("reproduce", ROOT / "jobs" / "reproduce.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestReproduce:
+    def test_table2_file(self, spark, reproduce, tmp_path):
+        path = reproduce.write(spark, "table2", tmp_path)
+        assert path == tmp_path / "table2.txt"
+        head, *body = path.read_text().splitlines()
+        assert head.startswith("# ")
+        assert {"git_sha", "host", "spark", "master"} <= set(json.loads(head[2:]))
+        assert body[0].split() == ["attribute", "correlation", "paper_correlation"]
+        assert [line.split()[0] for line in body[1:]] == list(GLASS_ATTRS)
+
+    def test_committed_results_carry_provenance(self, reproduce):
+        for name in reproduce.ARTEFACTS:
+            head = (ROOT / "results" / f"{name}.txt").read_text().partition("\n")[0]
+            assert head.startswith("# "), name
+            assert {"git_sha", "host", "spark", "master"} <= set(json.loads(head[2:])), name
+
+    def test_experiments_has_no_placeholder(self):
+        assert not re.findall(r"<!--.*?-->", (ROOT / "EXPERIMENTS.md").read_text(), re.S)
+
+    @pytest.mark.parametrize("doc", ["README.md", "EXPERIMENTS.md", "DESIGN.md"])
+    def test_documented_jobs_exist(self, doc):
+        scripts = re.findall(r"python3? (jobs/\S+?\.py)", (ROOT / doc).read_text())
+        assert [s for s in scripts if not (ROOT / s).is_file()] == []
+
+
 class TestBenchmarkNames:
     """The benchmark finds the program by name; a rename must fail here, not
     only when the benchmark runs (its own tests are not collected with these)."""
 
     def test_traced_names_resolve(self, monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        path = ROOT / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up

@@ -218,3 +218,16 @@ class TestRIC:
     def test_deterministic(self, blobs3):
         X, _ = blobs3
         assert np.array_equal(ric(X), ric(X))
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_separated_blobs_keep_the_kmeans_start(self, d):
+        # DESIGN.md § 5.6: no merge fires on separated clusters, so RIC ends
+        # at its k-means start k0 = 10 (2 000 rows) with every cluster inside
+        # one blob: an over-split, not the paper's collapse to one cluster
+        g = np.random.default_rng(0)
+        X = np.vstack([g.normal(0, 1, (1000, d)), g.normal(10, 1, (1000, d))])
+        y = np.repeat([0, 1], 1000)
+        labels = ric(X)
+        ks = np.unique(labels[labels >= 0])
+        assert len(ks) == 10
+        assert all(len(np.unique(y[labels == j])) == 1 for j in ks)
