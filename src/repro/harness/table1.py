@@ -7,8 +7,9 @@ the nearest detected cluster before scoring; class labels are the AMI
 ground truth.
 
 ``run_table1`` returns a tidy pandas frame (dataset, algorithm, ami,
-seconds, capped) plus prints a paper-vs-measured matrix. The paper's
-numbers are embedded in ``PAPER_TABLE1`` for EXPERIMENTS.md diffing.
+paper_ami, seconds, capped), and ``table1_matrix`` pivots it into the
+paper's algorithm-by-dataset matrix. The paper's numbers are embedded in
+``PAPER_TABLE1`` for EXPERIMENTS.md diffing.
 """
 from __future__ import annotations
 
